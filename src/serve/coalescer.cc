@@ -28,8 +28,8 @@ void BatchCoalescer::EndApproach() {
   cv_.notify_all();
 }
 
-search::Code BatchCoalescer::Encode(const traj::Trajectory& query,
-                                    const Deadline& deadline) {
+std::vector<float> BatchCoalescer::Embed(const traj::Trajectory& query,
+                                         const Deadline& deadline) {
   Slot slot;
   slot.query = &query;
   slot.deadline = deadline;
@@ -45,7 +45,7 @@ search::Code BatchCoalescer::Encode(const traj::Trajectory& query,
       cv_.wait(lock);
     }
   }
-  return std::move(slot.code);
+  return std::move(slot.embedding);
 }
 
 void BatchCoalescer::LeadLocked(std::unique_lock<std::mutex>& lock) {
@@ -97,17 +97,16 @@ void BatchCoalescer::LeadLocked(std::unique_lock<std::mutex>& lock) {
   cause->fetch_add(1, std::memory_order_relaxed);
   occupancy_.Record(static_cast<int>(batch.size()));
   if (batch.size() == 1) {
-    // HashCode is PackSigns(Embed(t)) — identical to the batch path below,
-    // minus the copy into a batch vector.
-    batch[0]->code = model_->HashCode(*batch[0]->query);
+    // Identical to the batch path below, minus the copy into a batch vector.
+    batch[0]->embedding = model_->Embed(*batch[0]->query);
   } else {
     std::vector<traj::Trajectory> queries;
     queries.reserve(batch.size());
     for (const Slot* s : batch) queries.push_back(*s->query);
-    const std::vector<std::vector<float>> embeddings =
+    std::vector<std::vector<float>> embeddings =
         model_->EmbedBatch(queries, pool_);
     for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i]->code = search::PackSigns(embeddings[i]);
+      batch[i]->embedding = std::move(embeddings[i]);
     }
   }
 

@@ -9,10 +9,9 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/thread_pool.h"
 #include "core/model.h"
-#include "search/code.h"
 #include "serve/stats.h"
-#include "serve/thread_pool.h"
 #include "traj/trajectory.h"
 
 namespace traj2hash::serve {
@@ -42,13 +41,14 @@ struct BatchCoalescerOptions {
 /// `Traj2Hash::EmbedBatch` call (DESIGN.md §15). The first query of a
 /// generation becomes the *leader*: it waits — bounded as above — for
 /// companions, then encodes the whole batch on the caller's thread (fanning
-/// over the worker pool via EmbedBatch) and hands each follower its code.
+/// over the worker pool via EmbedBatch) and hands each follower its
+/// embedding.
 /// Leadership is released before the encode runs, so the next generation
 /// forms while the previous one is still encoding.
 ///
 /// The wait ends immediately when waiting buys nothing — when the encode
 /// resource is idle AND no further arrival is en route. Callers announce an
-/// admitted query with `BeginApproach` before calling `Encode` (which
+/// admitted query with `BeginApproach` before calling `Embed` (which
 /// consumes the announcement), so "pending == everyone en route" is
 /// detectable; a caller that bails between the two (cache hit, expired
 /// deadline) must call `EndApproach` instead. While a previous generation
@@ -57,14 +57,14 @@ struct BatchCoalescerOptions {
 /// busy anyway, so the wait is free and every arrival it absorbs is one
 /// forward pass saved — this is what makes batches form under concurrent
 /// load, where closed-loop arrivals rarely overlap inside the microseconds
-/// between admission and Encode.
+/// between admission and Embed.
 ///
 /// Bit-identity: EmbedBatch runs the same per-trajectory forward pass as
-/// `Embed`, and `HashCode` is `PackSigns(Embed(t))` — so a coalesced code
+/// `Traj2Hash::Embed`, so a coalesced embedding (and its sign-packed code)
 /// equals the uncoalesced one bit for bit, and the probe/rank stages behave
 /// identically downstream.
 ///
-/// Threading: `Encode` must only be called from external threads (never
+/// Threading: `Embed` must only be called from external threads (never
 /// from inside the worker pool — it both blocks on the leader and calls
 /// ThreadPool::RunAll, see that class's deadlock note). Any number of
 /// external threads may call it concurrently.
@@ -74,15 +74,16 @@ class BatchCoalescer {
   BatchCoalescer(const core::Traj2Hash* model, ThreadPool* pool,
                  const BatchCoalescerOptions& options);
 
-  /// Announces one admitted query headed for Encode (see class comment).
+  /// Announces one admitted query headed for Embed (see class comment).
   void BeginApproach();
-  /// Withdraws an announcement whose query will not reach Encode.
+  /// Withdraws an announcement whose query will not reach Embed.
   void EndApproach();
 
-  /// Blocks until this query's hash code is ready — possibly encoding a
+  /// Blocks until this query's embedding is ready — possibly encoding a
   /// whole batch on this thread as the leader. Requires a prior
   /// BeginApproach (consumed here).
-  search::Code Encode(const traj::Trajectory& query, const Deadline& deadline);
+  std::vector<float> Embed(const traj::Trajectory& query,
+                           const Deadline& deadline);
 
   /// Queries per flushed batch (exact integer percentiles).
   OccupancyHistogram::Summary occupancy() const {
@@ -106,9 +107,9 @@ class BatchCoalescer {
   struct Slot {
     const traj::Trajectory* query = nullptr;
     Deadline deadline;
-    search::Code code;
+    std::vector<float> embedding;
     bool taken = false;  ///< absorbed into a flushed batch
-    bool done = false;   ///< code is ready
+    bool done = false;   ///< embedding is ready
   };
 
   /// Runs one generation as its leader: bounded wait, flush, encode,
@@ -128,7 +129,7 @@ class BatchCoalescer {
   /// no flushed batch is still encoding, nobody else is coming, the encode
   /// resource is free, and waiting buys nothing.
   int en_route_ = 0;
-  /// Flushed batches currently inside their encode (HashCode/EmbedBatch).
+  /// Flushed batches currently inside their encode (Embed/EmbedBatch).
   /// While positive, a forming generation's leader lingers instead of
   /// idle-flushing — see the class comment.
   int encoding_ = 0;

@@ -11,6 +11,18 @@
 
 namespace traj2hash::serve {
 
+namespace {
+
+/// A result that did not run to completion: shed, or past its deadline.
+QueryResult Incomplete(Status status) {
+  QueryResult result;
+  result.complete = false;
+  result.status = std::move(status);
+  return result;
+}
+
+}  // namespace
+
 QueryEngine::QueryEngine(const core::Traj2Hash* model,
                          const QueryEngineOptions& options)
     : model_(model),
@@ -95,335 +107,197 @@ void QueryEngine::MaybeScheduleCompaction() {
   }
 }
 
-QueryResult QueryEngine::RunQuery(const traj::Trajectory& query, int k,
-                                  bool parallel_fanout,
-                                  const QueryOptions& options) {
-  T2H_CHECK_GE(k, 1);
-  Stopwatch total;
-  Stopwatch stage;
-  QueryResult result;
-  // Fail fast: a deadline that is already gone buys nothing from encoding.
-  if (options.deadline.Expired()) {
-    result.complete = false;
-    result.status =
-        Status::DeadlineExceeded("deadline expired before the encode stage");
-    return result;
-  }
-  const search::Code code = model_->HashCode(query);
-  stats_.Record(Stage::kEncode, stage.ElapsedMicros());
-  result = ProbeAndRank(code, k, parallel_fanout, options);
-  stats_.Record(Stage::kTotal, total.ElapsedMicros());
-  return result;
-}
-
-QueryResult QueryEngine::ProbeAndRank(const search::Code& code, int k,
-                                      bool parallel_fanout,
-                                      const QueryOptions& options) {
-  T2H_CHECK_GE(k, 1);
-  Stopwatch stage;
-  QueryResult result;
-  const int s = index_.num_shards();
-  std::vector<std::vector<search::Neighbor>> per_shard(s);
-  // Per-shard completion flags (uint8_t: pool tasks write them
-  // concurrently, which vector<bool> cannot take). A shard is incomplete if
-  // the deadline expired before its probe started (the probe loop check,
-  // fault point faults::kShardProbe) or mid-probe inside MIH.
-  std::vector<uint8_t> shard_complete(s, 1);
-  stage.Restart();
-  if (parallel_fanout && s > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(s);
-    for (int i = 0; i < s; ++i) {
-      tasks.push_back([this, i, &code, k, &per_shard, &shard_complete,
-                       &options] {
-        if (options.deadline.Expired(faults::kShardProbe)) {
-          shard_complete[i] = 0;
-          return;
-        }
-        bool complete = true;
-        per_shard[i] =
-            index_.ShardTopK(i, code, k, options.deadline, &complete);
-        shard_complete[i] = complete ? 1 : 0;
-      });
-    }
-    pool_.RunAll(std::move(tasks));
-  } else {
-    for (int i = 0; i < s; ++i) {
-      if (options.deadline.Expired(faults::kShardProbe)) {
-        // Expired between shards: the remaining shards are skipped, so the
-        // merge below degrades to "completed shards only".
-        for (int j = i; j < s; ++j) shard_complete[j] = 0;
-        break;
-      }
-      bool complete = true;
-      per_shard[i] = index_.ShardTopK(i, code, k, options.deadline, &complete);
-      shard_complete[i] = complete ? 1 : 0;
-    }
-  }
-  stats_.Record(Stage::kProbe, stage.ElapsedMicros());
-
-  stage.Restart();
-  bool all_complete = true;
-  for (int i = 0; i < s; ++i) all_complete &= shard_complete[i] != 0;
-  if (all_complete) {
-    result.neighbors = ShardedIndex::MergeTopK(per_shard, k);
-  } else {
-    result.complete = false;
-    result.status = Status::DeadlineExceeded(
-        "deadline expired mid-probe; " +
-        std::string(options.allow_partial
-                        ? "returning best-effort partial result"
-                        : "partial results disallowed"));
-    if (options.allow_partial) {
-      // Still the k best of everything that was collected, in the same
-      // (distance, id) order a complete query would use.
-      result.neighbors = ShardedIndex::MergeTopK(per_shard, k);
-    }
-  }
-  stats_.Record(Stage::kRank, stage.ElapsedMicros());
-  return result;
-}
-
-std::string QueryEngine::CacheKey(const traj::Trajectory& query, int k) const {
+std::string QueryEngine::CacheKey(Kind kind, const traj::Trajectory& query,
+                                  int k) const {
   std::string key;
   key.reserve(query.points.size() * 2 * sizeof(double) + 16);
   ResultCache::AppendCanonicalKey(static_cast<int32_t>(k), &key);
   ResultCache::AppendCanonicalKey(static_cast<uint8_t>(index_.strategy()),
                                   &key);
+  ResultCache::AppendCanonicalKey(static_cast<uint8_t>(kind), &key);
   ResultCache::AppendCanonicalKey(query, &key);
   return key;
 }
 
-QueryResult QueryEngine::RunFrontend(const traj::Trajectory& query, int k,
-                                     const QueryOptions& options) {
+QueryResult QueryEngine::Run(Kind kind, bool in_pool,
+                             const traj::Trajectory& query, int k,
+                             const QueryOptions& options) {
   T2H_CHECK_GE(k, 1);
-  if (coalescer_ != nullptr) coalescer_->BeginApproach();
+  // A pool task must never wait on the pool, so it never joins a coalescer
+  // generation (the leader blocks on EmbedBatch's RunAll).
+  BatchCoalescer* const coalescer = in_pool ? nullptr : coalescer_.get();
+  if (coalescer != nullptr) coalescer->BeginApproach();
   Stopwatch total;
   QueryResult result;
+  // Fail fast: a deadline that is already gone buys nothing from encoding.
   if (options.deadline.Expired()) {
-    if (coalescer_ != nullptr) coalescer_->EndApproach();
-    result.complete = false;
-    result.status =
-        Status::DeadlineExceeded("deadline expired before the encode stage");
-    return result;
+    if (coalescer != nullptr) coalescer->EndApproach();
+    return Incomplete(
+        Status::DeadlineExceeded("deadline expired before the encode stage"));
   }
 
-  // Cache acquire: a hit answers without encoding or probing; a leader owns
-  // the probe (and the Publish duty); a follower that could not reuse the
-  // flight's result falls through and computes for itself.
+  // Cache: a hit answers without encoding or probing. An external caller
+  // takes the single-flight Acquire — a leader owns the probe (and the
+  // Publish duty), a follower that could not reuse the flight's result falls
+  // through and computes for itself. A pool task takes a plain Lookup: as a
+  // blocked flight follower it could starve a leader's RunAll fan-out.
   ResultCache::Ticket ticket;
   ResultCache::Outcome outcome = ResultCache::Outcome::kMiss;
-  uint64_t admission_epoch = 0;
+  uint64_t epoch_before = 0;
   std::string key;
   if (cache_ != nullptr) {
-    admission_epoch = index_.mutation_epoch();
-    key = CacheKey(query, k);
-    outcome = cache_->Acquire(key, admission_epoch, options.deadline,
-                              &result.neighbors, &ticket);
-    if (outcome == ResultCache::Outcome::kHit) {
-      if (coalescer_ != nullptr) coalescer_->EndApproach();
-      stats_.Record(Stage::kTotal, total.ElapsedMicros());
-      return result;  // complete, OK — exactly what the probe would return
+    epoch_before = index_.mutation_epoch();
+    key = CacheKey(kind, query, k);
+    if (!in_pool) {
+      outcome = cache_->Acquire(key, epoch_before, options.deadline,
+                                &result.neighbors, &ticket);
+    } else if (cache_->Lookup(key, epoch_before, &result.neighbors)) {
+      outcome = ResultCache::Outcome::kHit;
     }
   }
 
-  Stopwatch stage;
-  const search::Code code =
-      coalescer_ != nullptr
-          ? coalescer_->Encode(query, options.deadline)  // consumes approach
-          : model_->HashCode(query);
-  stats_.Record(Stage::kEncode, stage.ElapsedMicros());
-  result = ProbeAndRank(code, k, /*parallel_fanout=*/true, options);
-  if (cache_ != nullptr) {
-    const uint64_t epoch_after = index_.mutation_epoch();
-    const bool usable = result.complete && result.status.ok();
-    if (outcome == ResultCache::Outcome::kLead) {
-      cache_->Publish(&ticket, admission_epoch, epoch_after, usable,
-                      result.neighbors);
-    } else if (usable) {
-      // Fallen-back follower: no flight to publish, but the result is still
-      // cacheable under the same stable-epoch rule.
-      cache_->Insert(key, admission_epoch, epoch_after, result.neighbors);
+  if (outcome == ResultCache::Outcome::kHit) {
+    // Complete and OK: exactly what the probe would return.
+    if (coalescer != nullptr) coalescer->EndApproach();
+  } else {
+    Stopwatch stage;
+    const std::vector<float> embedding =
+        coalescer != nullptr
+            ? coalescer->Embed(query, options.deadline)  // consumes approach
+            : model_->Embed(query);
+    const search::Code code = search::PackSigns(embedding);
+    stats_.Record(Stage::kEncode, stage.ElapsedMicros());
+
+    stage.Restart();
+    const int s = index_.num_shards();
+    const int candidates = options_.rerank_candidates > 0
+                               ? options_.rerank_candidates
+                               : std::max(8 * k, 64);
+    std::vector<std::vector<search::Neighbor>> per_shard(s);
+    // Per-shard completion flags (uint8_t: pool tasks write them
+    // concurrently, which vector<bool> cannot take). A shard is incomplete if
+    // the deadline expired before its probe started (the fault point
+    // faults::kShardProbe) or mid-probe inside MIH; the re-rank runs to
+    // completion once started (bounded by `candidates`).
+    std::vector<uint8_t> shard_complete(s, 0);
+    // Probes shard i unless the deadline is gone; false = skipped.
+    const auto probe = [&](int i) {
+      if (options.deadline.Expired(faults::kShardProbe)) return false;
+      bool complete = true;
+      per_shard[i] =
+          kind == Kind::kHamming
+              ? index_.ShardTopK(i, code, k, options.deadline, &complete)
+              : index_.shard(i).RerankTopK(code, embedding, k, candidates);
+      shard_complete[i] = complete ? 1 : 0;
+      return true;
+    };
+    if (!in_pool && s > 1) {
+      std::vector<std::function<void()>> tasks;
+      tasks.reserve(s);
+      for (int i = 0; i < s; ++i) tasks.push_back([&probe, i] { probe(i); });
+      pool_.RunAll(std::move(tasks));
+    } else {
+      // Expired between shards: the remaining shards are skipped, so the
+      // merge below degrades to "completed shards only".
+      for (int i = 0; i < s && probe(i); ++i) {
+      }
+    }
+    stats_.Record(Stage::kProbe, stage.ElapsedMicros());
+
+    stage.Restart();
+    const bool all_complete =
+        std::all_of(shard_complete.begin(), shard_complete.end(),
+                    [](uint8_t c) { return c != 0; });
+    if (!all_complete) {
+      result = Incomplete(Status::DeadlineExceeded(
+          "deadline expired mid-probe; " +
+          std::string(options.allow_partial
+                          ? "returning best-effort partial result"
+                          : "partial results disallowed")));
+    }
+    if (all_complete || options.allow_partial) {
+      // A partial result is still the k best of everything that was
+      // collected, in the same (distance, id) order a complete one uses.
+      result.neighbors = ShardedIndex::MergeTopK(per_shard, k);
+    }
+    stats_.Record(Stage::kRank, stage.ElapsedMicros());
+
+    if (cache_ != nullptr) {
+      const uint64_t epoch_after = index_.mutation_epoch();
+      const bool usable = result.complete && result.status.ok();
+      if (outcome == ResultCache::Outcome::kLead) {
+        cache_->Publish(&ticket, epoch_before, epoch_after, usable,
+                        result.neighbors);
+      } else if (usable) {
+        // No flight to publish (pool task, or a fallen-back follower), but
+        // the result is still cacheable under the same stable-epoch rule.
+        cache_->Insert(key, epoch_before, epoch_after, result.neighbors);
+      }
     }
   }
   stats_.Record(Stage::kTotal, total.ElapsedMicros());
+  return result;
+}
+
+QueryResult QueryEngine::Serve(Kind kind, const traj::Trajectory& query, int k,
+                               const QueryOptions& options) {
+  const Status admitted = admission_.Admit();
+  if (!admitted.ok()) return Incomplete(admitted);
+  QueryResult result = Run(kind, /*in_pool=*/false, query, k, options);
+  admission_.Release();
   return result;
 }
 
 QueryResult QueryEngine::Query(const traj::Trajectory& query, int k,
                                const QueryOptions& options) {
-  const Status admitted = admission_.Admit();
-  if (!admitted.ok()) {
-    QueryResult shed;
-    shed.complete = false;
-    shed.status = admitted;
-    return shed;
-  }
-  QueryResult result =
-      coalescer_ != nullptr || cache_ != nullptr
-          ? RunFrontend(query, k, options)
-          : RunQuery(query, k, /*parallel_fanout=*/true, options);
-  admission_.Release();
-  return result;
+  return Serve(Kind::kHamming, query, k, options);
 }
 
-QueryResult QueryEngine::QueryRerank(const traj::Trajectory& query, int k) {
-  T2H_CHECK_GE(k, 1);
-  const Status admitted = admission_.Admit();
-  if (!admitted.ok()) {
-    QueryResult shed;
-    shed.complete = false;
-    shed.status = admitted;
-    return shed;
-  }
-  Stopwatch total;
-  Stopwatch stage;
-  const std::vector<float> embedding = model_->Embed(query);
-  const search::Code code = search::PackSigns(embedding);
-  stats_.Record(Stage::kEncode, stage.ElapsedMicros());
-  const int candidates = options_.rerank_candidates > 0
-                             ? options_.rerank_candidates
-                             : std::max(8 * k, 64);
-  stage.Restart();
-  QueryResult result;
-  result.neighbors =
-      index_.QueryRerankTopK(code, embedding, k, candidates,
-                             index_.num_shards() > 1 ? &pool_ : nullptr);
-  stats_.Record(Stage::kProbe, stage.ElapsedMicros());
-  stats_.Record(Stage::kTotal, total.ElapsedMicros());
-  admission_.Release();
-  return result;
+QueryResult QueryEngine::QueryRerank(const traj::Trajectory& query, int k,
+                                     const QueryOptions& options) {
+  return Serve(Kind::kRerank, query, k, options);
 }
 
 std::vector<QueryResult> QueryEngine::QueryBatch(
     const std::vector<traj::Trajectory>& queries, int k,
     const QueryOptions& options) {
-  T2H_CHECK_GE(k, 1);
   const size_t n = queries.size();
   std::vector<QueryResult> results(n);
-  if (n == 0) return results;
-
-  // Admission first. Under a bounded kReject queue the whole batch is
-  // admitted up front on this thread (Admit never blocks under kReject),
-  // which makes the shed pattern deterministic — the first `queue_depth`
-  // queries are admitted, every later one is shed — and guarantees no shed
-  // query wastes a forward pass below. Unbounded and kBlock engines never
-  // shed batch queries, so they skip this pass and admit at submission
-  // time, the historical behaviour (kBlock must: admitting the whole batch
-  // up front would deadlock against its own not-yet-submitted tasks).
+  // Admission. Under a bounded kReject queue the whole batch is admitted up
+  // front on this thread (Admit never blocks under kReject), which makes the
+  // shed pattern deterministic — the first `queue_depth` queries are
+  // admitted, every later one is shed — and no shed query is ever encoded.
+  // Unbounded and kBlock engines never shed batch queries; they admit each
+  // one just before submitting it (kBlock must: admitting the whole batch up
+  // front would deadlock against its own not-yet-submitted tasks).
   const bool reject_bounded =
       options_.queue_depth > 0 &&
       options_.overload_policy == OverloadPolicy::kReject;
-  std::vector<uint8_t> admitted(n, 1);
   if (reject_bounded) {
-    for (size_t i = 0; i < n; ++i) {
-      const Status status = admission_.Admit();
-      if (!status.ok()) {
-        admitted[i] = 0;
-        results[i].complete = false;
-        results[i].status = status;
-      }
-    }
+    for (QueryResult& r : results) r.status = admission_.Admit();
   }
 
-  // Cache pass: hits are answered inline at the batch's admission epoch,
-  // without a forward pass or a worker task.
-  const uint64_t batch_epoch = cache_ != nullptr ? index_.mutation_epoch() : 0;
-  std::vector<std::string> keys(cache_ != nullptr ? n : 0);
-  std::vector<uint8_t> hit(n, 0);
-  if (cache_ != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      if (admitted[i] == 0) continue;
-      Stopwatch lookup;
-      keys[i] = CacheKey(queries[i], k);
-      if (cache_->Lookup(keys[i], batch_epoch, &results[i].neighbors)) {
-        hit[i] = 1;
-        stats_.Record(Stage::kTotal, lookup.ElapsedMicros());
-        if (reject_bounded) admission_.Release();
-      }
-    }
-  }
-
-  // One EmbedBatch forward pass over everything that still needs a probe —
-  // bit-identical to per-query HashCode (same per-trajectory Embed, same
-  // PackSigns), but amortized across the pool. The encode stage records
-  // each query's amortized share.
-  std::vector<size_t> to_run;
-  to_run.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (admitted[i] != 0 && hit[i] == 0) to_run.push_back(i);
-  }
-  std::vector<search::Code> codes(n);
-  double encode_share_us = 0.0;
-  if (!to_run.empty() && options.deadline.Expired()) {
-    // Fail fast, like the per-query path: nothing gets encoded or probed.
-    for (const size_t i : to_run) {
-      results[i].complete = false;
-      results[i].status =
-          Status::DeadlineExceeded("deadline expired before the encode stage");
-      if (reject_bounded) admission_.Release();
-    }
-    to_run.clear();
-  }
-  if (!to_run.empty()) {
-    Stopwatch encode;
-    std::vector<std::vector<float>> embeddings;
-    if (to_run.size() == n) {
-      embeddings = model_->EmbedBatch(queries, &pool_);
-    } else {
-      std::vector<traj::Trajectory> subset;
-      subset.reserve(to_run.size());
-      for (size_t i : to_run) subset.push_back(queries[i]);
-      embeddings = model_->EmbedBatch(subset, &pool_);
-    }
-    for (size_t j = 0; j < to_run.size(); ++j) {
-      codes[to_run[j]] = search::PackSigns(embeddings[j]);
-    }
-    encode_share_us =
-        encode.ElapsedMicros() / static_cast<double>(to_run.size());
-    for (size_t j = 0; j < to_run.size(); ++j) {
-      stats_.Record(Stage::kEncode, encode_share_us);
-    }
-  }
-
-  // Probe tasks are submitted one by one (not through the RunAll barrier)
-  // so kBlock admission cannot deadlock: admitted tasks are already
-  // running and release their slots as workers finish them. Serial
-  // fan-out inside each task — a worker probing its own shards cannot wait
-  // on the pool.
+  // One pool task per admitted query, each running the staged path with
+  // serial shard fan-out. Tasks are submitted one by one (not through the
+  // RunAll barrier) so kBlock admission cannot deadlock: admitted tasks are
+  // already running and release their slots as workers finish them.
   std::mutex mu;
   std::condition_variable all_done;
   int outstanding = 0;
-  for (const size_t i : to_run) {
-    if (!reject_bounded) {
-      const Status status = admission_.Admit();
-      if (!status.ok()) {
-        results[i].complete = false;
-        results[i].status = status;
-        continue;
-      }
+  for (size_t i = 0; i < n; ++i) {
+    if (!reject_bounded) results[i].status = admission_.Admit();
+    if (!results[i].status.ok()) {
+      results[i].complete = false;
+      continue;
     }
     {
       std::lock_guard<std::mutex> lock(mu);
       ++outstanding;
     }
-    pool_.Submit([this, &results, &codes, &keys, i, k, &options, batch_epoch,
-                  encode_share_us, &mu, &all_done, &outstanding] {
-      Stopwatch task;
-      if (options.deadline.Expired()) {
-        results[i].complete = false;
-        results[i].status = Status::DeadlineExceeded(
-            "deadline expired before the probe stage");
-      } else {
-        results[i] = ProbeAndRank(codes[i], k, /*parallel_fanout=*/false,
-                                  options);
-        stats_.Record(Stage::kTotal, task.ElapsedMicros() + encode_share_us);
-        if (cache_ != nullptr && results[i].complete &&
-            results[i].status.ok()) {
-          cache_->Insert(keys[i], batch_epoch, index_.mutation_epoch(),
-                         results[i].neighbors);
-        }
-      }
+    pool_.Submit([this, &queries, &results, i, k, &options, &mu, &all_done,
+                  &outstanding] {
+      results[i] =
+          Run(Kind::kHamming, /*in_pool=*/true, queries[i], k, options);
       admission_.Release();
       std::lock_guard<std::mutex> lock(mu);
       if (--outstanding == 0) all_done.notify_all();

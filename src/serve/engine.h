@@ -1,12 +1,14 @@
 #ifndef TRAJ2HASH_SERVE_ENGINE_H_
 #define TRAJ2HASH_SERVE_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/model.h"
 #include "search/knn.h"
 #include "search/strategy.h"
@@ -15,7 +17,6 @@
 #include "serve/result_cache.h"
 #include "serve/sharded_index.h"
 #include "serve/stats.h"
-#include "serve/thread_pool.h"
 #include "traj/trajectory.h"
 
 namespace traj2hash::serve {
@@ -39,8 +40,8 @@ struct QueryEngineOptions {
   int compact_min_ops = 64;
   double compact_ratio = 0.25;
   /// Query front-end (DESIGN.md §15). Coalescing groups concurrently
-  /// admitted Query() calls into one EmbedBatch forward pass under a
-  /// deadline-aware bounded wait; results stay bit-identical to the
+  /// admitted Query()/QueryRerank() calls into one EmbedBatch forward pass
+  /// under a deadline-aware bounded wait; results stay bit-identical to the
   /// uncoalesced path. Off by default (the historical behaviour).
   bool enable_coalescing = false;
   int max_batch = 8;          ///< coalescer flush size
@@ -65,9 +66,9 @@ struct QueryEngineOptions {
   int rerank_candidates = 0;
 };
 
-/// Per-query degradation knobs, threaded through Query/QueryBatch down to
-/// the per-shard probe loop. Defaults (infinite deadline, partials allowed)
-/// reproduce the historical behaviour bit-for-bit.
+/// Per-query degradation knobs, threaded through every query entry point
+/// down to the per-shard probe loop. Defaults (infinite deadline, partials
+/// allowed) reproduce the historical behaviour bit-for-bit.
 struct QueryOptions {
   /// Stop probing once this expires; MIH additionally checks it between
   /// radius rounds inside a shard. Infinite by default.
@@ -90,19 +91,22 @@ struct QueryResult {
 };
 
 /// Concurrent query-serving engine over a trained Traj2Hash model and a
-/// sharded Hamming index. Each query runs as an instrumented three-stage
-/// pipeline — encode (model hash), probe (per-shard Hamming-Hybrid top-k),
-/// rank (deterministic merge) — with per-stage latency recorded into a
-/// `ServeStats` that can be snapshot while serving.
+/// sharded Hamming index. `Query`, `QueryRerank` and `QueryBatch` share one
+/// staged path (DESIGN.md §7): deadline fail-fast -> cache -> encode ->
+/// probe (per-shard top-k, or per-shard re-rank for QueryRerank) -> rank
+/// (deterministic merge) -> cache publish. Every executed request records
+/// its own encode, probe, rank and total latency into a `ServeStats` that
+/// can be snapshot while serving; a cache hit records total only.
 ///
-/// Concurrency model: `Insert`, `Remove`, `Update`, `Query` and
-/// `QueryBatch` are all safe to call from any number of external threads at
-/// once; shard compactions triggered by mutations run as background pool
-/// tasks without blocking readers. A single `Query` fans
-/// its shard probes out across the worker pool; `QueryBatch` instead runs
-/// one pool task per query (each probing its shards serially), which is the
-/// throughput-optimal shape when queries outnumber workers. Model encoding
-/// is read-only over the trained parameters, so it parallelises freely.
+/// Concurrency model: `Insert`, `Remove`, `Update`, `Query`, `QueryRerank`
+/// and `QueryBatch` are all safe to call from any number of external
+/// threads at once; shard compactions triggered by mutations run as
+/// background pool tasks without blocking readers. A single `Query` or
+/// `QueryRerank` fans its shard probes out across the worker pool;
+/// `QueryBatch` instead runs one pool task per query (each probing its
+/// shards serially), which is the throughput-optimal shape when queries
+/// outnumber workers. Model encoding is read-only over the trained
+/// parameters, so it parallelises freely.
 ///
 /// Robustness (DESIGN.md §11): queries carry an optional deadline and
 /// degrade to explicit partial results instead of blocking; admission
@@ -141,27 +145,28 @@ class QueryEngine {
   QueryResult Query(const traj::Trajectory& query, int k,
                     const QueryOptions& options = QueryOptions());
 
-  /// Batched top-k: the whole batch is encoded in one EmbedBatch forward
-  /// pass (bit-identical to per-query encoding), then one worker task per
-  /// query probes its shards serially. Results are positionally aligned
-  /// with `queries`. Under a bounded kReject queue the shed pattern is
-  /// deterministic — the first `queue_depth` queries are admitted, later
-  /// ones shed with kUnavailable — and shed queries are never encoded.
-  /// With a result cache, hits are answered inline without occupying a
-  /// worker. Must not be called from inside a pool task (EmbedBatch uses
-  /// ThreadPool::RunAll).
+  /// Batched top-k: one worker task per admitted query runs the same
+  /// staged path as Query, encoding directly and probing its shards
+  /// serially, so results are bit-identical to Query's. Results are
+  /// positionally aligned with `queries`. Under a bounded kReject queue the
+  /// shed pattern is deterministic — the first `queue_depth` queries are
+  /// admitted, later ones shed with kUnavailable — and shed queries are
+  /// never encoded. Must not be called from inside a pool task (it waits
+  /// for the tasks it submits).
   std::vector<QueryResult> QueryBatch(
       const std::vector<traj::Trajectory>& queries, int k,
       const QueryOptions& options = QueryOptions());
 
   /// Euclidean re-rank query: embeds `query`, takes each shard's
   /// `rerank_candidates` Hamming-nearest entries and re-ranks them by
-  /// embedding distance (ShardedIndex::QueryRerankTopK — the two-stage
-  /// quantized re-ranker under `quantize`, the exact float scan otherwise).
-  /// Runs to completion once admitted (no deadline degradation — the
-  /// re-rank stage is bounded by rerank_candidates per shard); subject to
-  /// admission control like Query.
-  QueryResult QueryRerank(const traj::Trajectory& query, int k);
+  /// embedding distance (bit-identical to ShardedIndex::QueryRerankTopK —
+  /// the two-stage quantized re-ranker under `quantize`, the exact float
+  /// scan otherwise). Same path and rules as Query: admission control, the
+  /// deadline (checked before encoding and before each shard; a started
+  /// shard re-rank runs to completion), the coalescer and the result cache,
+  /// where re-rank results live under their own keys.
+  QueryResult QueryRerank(const traj::Trajectory& query, int k,
+                          const QueryOptions& options = QueryOptions());
 
   /// Checkpoints the encoded corpus (codes + embeddings, crash-safely) /
   /// restores it without re-encoding. Load requires an empty engine; see
@@ -227,24 +232,26 @@ class QueryEngine {
   int64_t shed_count() const { return admission_.shed_count(); }
 
  private:
-  /// encode -> probe -> rank with per-stage timing. `parallel_fanout`
-  /// selects pool fan-out (single queries) vs serial probes (batch tasks).
-  QueryResult RunQuery(const traj::Trajectory& query, int k,
-                       bool parallel_fanout, const QueryOptions& options);
+  /// What each shard computes for a request: its Hamming top-k, or its
+  /// Hamming candidates re-ranked by embedding distance.
+  enum class Kind : uint8_t { kHamming, kRerank };
 
-  /// probe -> rank over an already-encoded query, recording those two
-  /// stages (the caller owns encode + total accounting).
-  QueryResult ProbeAndRank(const search::Code& code, int k,
-                           bool parallel_fanout, const QueryOptions& options);
+  /// The one staged query path (DESIGN.md §7), run by an admitted request:
+  /// deadline fail-fast -> cache -> encode -> probe (per-shard fan-out) ->
+  /// rank (merge) -> cache publish, recording each stage once. An external
+  /// caller (`in_pool` false) fans its shards out on the pool, encodes
+  /// through the coalescer and takes the cache's single-flight Acquire; a
+  /// pool task probes serially, encodes directly and uses plain
+  /// Lookup/Insert, so it never waits on the pool or on another request.
+  QueryResult Run(Kind kind, bool in_pool, const traj::Trajectory& query,
+                  int k, const QueryOptions& options);
 
-  /// Query() body behind the front-end: cache acquire (single-flight) ->
-  /// coalesced encode -> probe/rank -> publish. Only used when the
-  /// coalescer or the cache is enabled.
-  QueryResult RunFrontend(const traj::Trajectory& query, int k,
-                          const QueryOptions& options);
+  /// Admit -> Run on the caller's thread -> release (Query, QueryRerank).
+  QueryResult Serve(Kind kind, const traj::Trajectory& query, int k,
+                    const QueryOptions& options);
 
-  /// Canonical cache key: k + strategy + the query's geometry bytes.
-  std::string CacheKey(const traj::Trajectory& query, int k) const;
+  /// Canonical cache key: k + strategy + kind + the query's geometry bytes.
+  std::string CacheKey(Kind kind, const traj::Trajectory& query, int k) const;
 
   /// After a mutation: claims any shard whose compaction trigger fired and
   /// rebuilds it on the worker pool, off the mutator's thread. Queries keep

@@ -9,12 +9,12 @@
 
 #include "common/deadline.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "ingest/live_index.h"
 #include "ingest/wal.h"
 #include "search/code.h"
 #include "search/knn.h"
 #include "search/strategy.h"
-#include "serve/thread_pool.h"
 
 namespace traj2hash::serve {
 
@@ -223,7 +223,7 @@ class ShardedIndex {
   /// Synchronously compacts every shard (tests/tools).
   void CompactAll();
 
-  /// Direct access to one shard (tests).
+  /// Direct access to one shard (tests; the engine's per-shard re-rank).
   const ingest::LiveIndex& shard(int i) const { return *shards_[i]; }
 
  private:

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -44,6 +45,11 @@ struct OpCase {
   std::function<Tensor(const Tensor& param, const Tensor& other)> build;
   float param_scale = 1.0f;
 };
+
+// Names the case in test listings; gtest's default byte dump would embed the
+// std::string and std::function pointers, so the listed test name would change
+// from one process to the next.
+void PrintTo(const OpCase& op_case, std::ostream* os) { *os << op_case.name; }
 
 class OpGradTest : public ::testing::TestWithParam<OpCase> {};
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "search/code.h"
 #include "traj/synthetic.h"
 
 namespace traj2hash::serve {
@@ -45,7 +46,8 @@ TEST(BatchCoalescerTest, LoneQueryFlushesIdleWithoutWaiting) {
   BatchCoalescer coalescer(env.model.get(), &pool,
                            {.max_batch = 8, .max_wait_us = 3'600'000'000});
   coalescer.BeginApproach();
-  const search::Code code = coalescer.Encode(env.corpus[0], Deadline());
+  const search::Code code =
+      search::PackSigns(coalescer.Embed(env.corpus[0], Deadline()));
   EXPECT_EQ(code.words, env.model->HashCode(env.corpus[0]).words);
   EXPECT_EQ(coalescer.flushes_idle(), 1u);
   EXPECT_EQ(coalescer.flushes_full(), 0u);
@@ -69,7 +71,8 @@ TEST(BatchCoalescerTest, FullBatchCoalescesBitIdentically) {
   std::vector<std::thread> threads;
   for (int i = 0; i < kBatch; ++i) {
     threads.emplace_back([&, i] {
-      codes[i] = coalescer.Encode(env.corpus[i], Deadline());
+      codes[i] =
+          search::PackSigns(coalescer.Embed(env.corpus[i], Deadline()));
     });
   }
   for (std::thread& t : threads) t.join();
@@ -96,7 +99,8 @@ TEST(BatchCoalescerTest, BoundedWaitFlushesWhenArrivalsStall) {
   coalescer.BeginApproach();  // the no-show
   coalescer.BeginApproach();
   const auto start = std::chrono::steady_clock::now();
-  const search::Code code = coalescer.Encode(env.corpus[0], Deadline());
+  const search::Code code =
+      search::PackSigns(coalescer.Embed(env.corpus[0], Deadline()));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   coalescer.EndApproach();  // withdraw the no-show
 
@@ -119,7 +123,8 @@ TEST(BatchCoalescerTest, QueryDeadlineCapsTheBoundedWait) {
   coalescer.BeginApproach();
   const auto start = std::chrono::steady_clock::now();
   const search::Code code =
-      coalescer.Encode(env.corpus[0], Deadline::AfterMillis(50));
+      search::PackSigns(
+          coalescer.Embed(env.corpus[0], Deadline::AfterMillis(50)));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   coalescer.EndApproach();
 
@@ -146,7 +151,8 @@ TEST(BatchCoalescerTest, GenerationsPipelineAcrossManyThreads) {
         const traj::Trajectory& q =
             env.corpus[(t * kPerThread + i) % env.corpus.size()];
         coalescer.BeginApproach();
-        const search::Code code = coalescer.Encode(q, Deadline());
+        const search::Code code =
+            search::PackSigns(coalescer.Embed(q, Deadline()));
         if (code.words != env.model->HashCode(q).words) {
           mismatches.fetch_add(1);
         }

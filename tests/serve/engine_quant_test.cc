@@ -1,7 +1,7 @@
 // QueryEngine with the quantized store (DESIGN.md §17): the quantize knob
 // must leave Hamming serving bit-identical to a float engine, QueryRerank
-// must be exactly the index's QueryRerankTopK plumbing (admission + stats
-// on top, nothing else), and quant_stats / QuantJson must surface the
+// must return exactly what the index's QueryRerankTopK returns (the
+// engine's staged path adds admission, deadline, cache and stats), and quant_stats / QuantJson must surface the
 // resident-bytes gauge and the re-ranker counters.
 #include "serve/engine.h"
 

@@ -140,7 +140,7 @@ TEST(QueryEngineTest, FrontendIsBitIdenticalToThePlainEngine) {
       expect_identical(frontend.Query(queries[q], 7), expected[q], q);
     }
   }
-  // QueryBatch (one EmbedBatch pass; hits served inline) agrees too.
+  // QueryBatch (pool tasks on the same staged path) agrees too.
   const auto batched = frontend.QueryBatch(queries, 7);
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -159,6 +159,76 @@ TEST(QueryEngineTest, FrontendIsBitIdenticalToThePlainEngine) {
   EXPECT_EQ(fs.cache_stale, 0u);
   EXPECT_EQ(fs.occupancy.queries,
             fs.cache_misses);  // only misses reach the coalescer
+
+  // QueryRerank is one more input under the same contract. Its results live
+  // under their own cache keys: pass 1 misses although Query has already
+  // cached every (trajectory, k), and pass 2 hits.
+  std::vector<QueryResult> expected_rerank;
+  for (const traj::Trajectory& q : queries) {
+    expected_rerank.push_back(plain.QueryRerank(q, 7));
+  }
+  for (size_t pass = 0; pass < 2; ++pass) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      expect_identical(frontend.QueryRerank(queries[q], 7), expected_rerank[q],
+                       q);
+    }
+    const FrontendSnapshot after = frontend.frontend_stats();
+    EXPECT_EQ(after.cache_misses, fs.cache_misses + queries.size())
+        << "pass " << pass;
+    EXPECT_EQ(after.cache_hits, fs.cache_hits + pass * queries.size())
+        << "pass " << pass;
+    EXPECT_EQ(after.occupancy.queries, after.cache_misses) << "pass " << pass;
+  }
+}
+
+/// Stage accounting (DESIGN.md §7): on every entry point, each executed
+/// request adds exactly one sample to each of encode, probe, rank and total,
+/// and each cache hit adds one total sample only. One worker keeps the
+/// counts deterministic.
+TEST(QueryEngineTest, EveryEntryPointRecordsTheSameStages) {
+  Env env = MakeEnv(60);
+  const std::vector<traj::Trajectory> queries(env.corpus.begin() + 40,
+                                              env.corpus.begin() + 45);
+  const uint64_t n = queries.size();
+  for (const int cache_entries : {0, 64}) {
+    QueryEngine engine(env.model.get(), {.num_threads = 1,
+                                         .num_shards = 2,
+                                         .cache_entries = cache_entries});
+    ASSERT_TRUE(
+        engine.InsertAll({env.corpus.begin(), env.corpus.begin() + 40}).ok());
+    // Every entry point below serves the queries twice; the second pass
+    // hits when the cache is on.
+    const uint64_t hits = cache_entries > 0 ? n : 0;
+    const auto expect_counts = [&engine, n, hits](const char* entry_point) {
+      const ServeStats::Snapshot snapshot = engine.stats();
+      for (const Stage stage : {Stage::kEncode, Stage::kProbe, Stage::kRank}) {
+        EXPECT_EQ(snapshot.Of(stage).count, 2 * n - hits)
+            << entry_point << " " << StageName(stage);
+      }
+      EXPECT_EQ(snapshot.Of(Stage::kTotal).count, 2 * n) << entry_point;
+      engine.ResetStats();
+    };
+
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const traj::Trajectory& q : queries) {
+        ASSERT_TRUE(engine.Query(q, 5).complete);
+      }
+    }
+    expect_counts("Query");
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const traj::Trajectory& q : queries) {
+        ASSERT_TRUE(engine.QueryRerank(q, 5).complete);
+      }
+    }
+    expect_counts("QueryRerank");
+    // k = 3, so no batch query finds an entry cached by Query above.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const QueryResult& r : engine.QueryBatch(queries, 3)) {
+        ASSERT_TRUE(r.complete);
+      }
+    }
+    expect_counts("QueryBatch");
+  }
 }
 
 /// The concurrency invariant test of the ISSUE: writers keep inserting while

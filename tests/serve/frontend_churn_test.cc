@@ -60,6 +60,29 @@ std::vector<search::Neighbor> Oracle(
   return all;
 }
 
+/// Exact equality of two ranked lists: same ids, same distances, same order.
+bool SameNeighbors(const std::vector<search::Neighbor>& got,
+                   const std::vector<search::Neighbor>& want) {
+  if (got.size() != want.size()) return false;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (got[i].index != want[i].index || got[i].distance != want[i].distance) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Strict (distance, id) order, which also implies unique ids.
+bool IsStrictlyOrdered(const std::vector<search::Neighbor>& hits) {
+  for (size_t i = 1; i < hits.size(); ++i) {
+    if (!search::NeighborLess(hits[i - 1], hits[i])) return false;
+  }
+  return true;
+}
+
+/// QueryEngine's default per-shard re-rank candidate count.
+int RerankCandidates(int k) { return std::max(8 * k, 64); }
+
 class FrontendChurnTest
     : public ::testing::TestWithParam<
           std::tuple<int, search::SearchStrategy>> {};
@@ -209,17 +232,26 @@ TEST(FrontendStressTest, CoalescerCacheChurnStress) {
     stop.store(true, std::memory_order_release);
   });
 
-  // A small hot query pool maximises cache + single-flight contention.
+  // A small hot query pool maximises cache + single-flight contention. Each
+  // reader walks the pool once per entry point in turn: Query, QueryRerank,
+  // then QueryBatch over two pool queries.
   constexpr int kReaders = 3;
   constexpr int kQueryPool = 6;
+  // Encoded up front, so the re-rank oracle adds no encode to the window
+  // across which the epoch must hold still.
+  std::vector<std::vector<float>> pool_embeddings;
+  for (int q = 0; q < kQueryPool; ++q) {
+    pool_embeddings.push_back(env.model->Embed(env.corpus[q]));
+  }
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      Rng rng(60 + r);
+    readers.emplace_back([&] {
       int q = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        const traj::Trajectory& query =
-            env.corpus[static_cast<size_t>(q++) % kQueryPool];
+        const int entry_point = (q / kQueryPool) % 3;
+        const int asked[2] = {q % kQueryPool, (q + 1) % kQueryPool};
+        const traj::Trajectory& query = env.corpus[asked[0]];
+        ++q;
         const int k = 1 + q % 7;
         std::map<int, search::Code> snapshot;
         uint64_t epoch_before = 0;
@@ -228,18 +260,32 @@ TEST(FrontendStressTest, CoalescerCacheChurnStress) {
           snapshot = truth;
           epoch_before = engine.mutation_epoch();
         }
-        const QueryResult got = engine.Query(query, k);
+        std::vector<QueryResult> got;
+        std::vector<search::Neighbor> rerank_want;
+        if (entry_point == 0) {
+          got.push_back(engine.Query(query, k));
+        } else if (entry_point == 1) {
+          got.push_back(engine.QueryRerank(query, k));
+          // The re-rank oracle is the index's own fan-out, taken before the
+          // epoch re-read so an unmoved epoch covers both answers.
+          const std::vector<float>& embedding = pool_embeddings[asked[0]];
+          rerank_want = engine.index().QueryRerankTopK(
+              search::PackSigns(embedding), embedding, k,
+              RerankCandidates(k));
+        } else {
+          got = engine.QueryBatch({query, env.corpus[asked[1]]}, k);
+        }
         const uint64_t epoch_after = engine.mutation_epoch();
-        if (!got.status.ok()) {
+        bool consistent = true;
+        for (const QueryResult& result : got) {
+          // Internal consistency always: OK, sorted, unique, at most k.
+          consistent &= result.status.ok() &&
+                        static_cast<int>(result.neighbors.size()) <= k &&
+                        IsStrictlyOrdered(result.neighbors);
+        }
+        if (!consistent) {
           errors.fetch_add(1);
           continue;
-        }
-        // Internal consistency always: sorted, unique, at most k.
-        if (static_cast<int>(got.neighbors.size()) > k) errors.fetch_add(1);
-        for (size_t i = 1; i < got.neighbors.size(); ++i) {
-          if (!search::NeighborLess(got.neighbors[i - 1], got.neighbors[i])) {
-            errors.fetch_add(1);
-          }
         }
         if (epoch_after != epoch_before) continue;
         // The epoch held still across the query (mutations and compaction
@@ -247,17 +293,13 @@ TEST(FrontendStressTest, CoalescerCacheChurnStress) {
         // the snapshot — a cached or flight-served result from an older
         // epoch would be caught right here.
         exact_checks.fetch_add(1);
-        const auto want =
-            Oracle(snapshot, env.model->HashCode(query), k);
-        if (got.neighbors.size() != want.size()) {
-          errors.fetch_add(1);
-          continue;
-        }
-        for (size_t i = 0; i < want.size(); ++i) {
-          if (got.neighbors[i].index != want[i].index ||
-              got.neighbors[i].distance != want[i].distance) {
-            errors.fetch_add(1);
-          }
+        for (size_t j = 0; j < got.size(); ++j) {
+          const auto want =
+              entry_point == 1
+                  ? rerank_want
+                  : Oracle(snapshot,
+                           search::PackSigns(pool_embeddings[asked[j]]), k);
+          if (!SameNeighbors(got[j].neighbors, want)) errors.fetch_add(1);
         }
       }
     });
@@ -286,6 +328,20 @@ TEST(FrontendStressTest, CoalescerCacheChurnStress) {
         ASSERT_EQ(got.neighbors[i].index, want[i].index);
         ASSERT_EQ(got.neighbors[i].distance, want[i].distance);
       }
+      const std::vector<float>& embedding = pool_embeddings[q];
+      EXPECT_TRUE(SameNeighbors(
+          engine.QueryRerank(query, 5).neighbors,
+          engine.index().QueryRerankTopK(search::PackSigns(embedding),
+                                         embedding, 5, RerankCandidates(5))))
+          << "re-rank query " << q;
+    }
+    const std::vector<QueryResult> batched = engine.QueryBatch(
+        {env.corpus.begin(), env.corpus.begin() + kQueryPool}, 5);
+    for (int q = 0; q < kQueryPool; ++q) {
+      EXPECT_TRUE(SameNeighbors(
+          batched[q].neighbors,
+          Oracle(live, search::PackSigns(pool_embeddings[q]), 5)))
+          << "batched query " << q;
     }
   }
   const FrontendSnapshot fs = engine.frontend_stats();

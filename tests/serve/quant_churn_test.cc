@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "search/code.h"
 #include "search/flat_storage.h"
 #include "search/knn.h"
 #include "serve/sharded_index.h"
-#include "serve/thread_pool.h"
 
 namespace traj2hash::serve {
 namespace {

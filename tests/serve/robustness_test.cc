@@ -111,6 +111,12 @@ TEST(RobustnessTest, AlreadyExpiredDeadlineFailsFastBeforeEncoding) {
   EXPECT_FALSE(result.complete);
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(result.neighbors.empty());
+  const QueryResult rerank = engine.QueryRerank(env.corpus[0], 5, options);
+  EXPECT_FALSE(rerank.complete);
+  EXPECT_EQ(rerank.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(rerank.neighbors.empty());
+  EXPECT_EQ(engine.stats().Of(Stage::kEncode).count, 0u)
+      << "an expired query must fail before encoding";
 }
 
 TEST(RobustnessTest, MihDeadlineExpiresBetweenRadiusRounds) {

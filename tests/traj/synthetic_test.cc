@@ -1,10 +1,18 @@
 #include "traj/synthetic.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "traj/trajectory.h"
 
 namespace traj2hash::traj {
+
+// Names the city in test listings; gtest's default byte dump would embed the
+// std::string pointer, so the listed test name would change from one process
+// to the next. Declared in CityConfig's namespace so gtest finds it by ADL.
+void PrintTo(const CityConfig& config, std::ostream* os) { *os << config.name; }
+
 namespace {
 
 class SyntheticCityTest : public ::testing::TestWithParam<CityConfig> {};

@@ -618,8 +618,8 @@ int RunServeBench(const Args& args) {
     if (clients > 0) {
       // Open-loop client mode: --clients threads each issue Query() over an
       // interleaved slice of the load. This is the shape the coalescer
-      // batches (concurrent single-query arrivals) — QueryBatch below
-      // already amortizes its encodes by construction.
+      // batches (concurrent single-query arrivals); QueryBatch below runs
+      // its queries as pool tasks, which never coalesce.
       std::atomic<int64_t> bad{0};
       std::vector<std::thread> workers;
       workers.reserve(clients);
