@@ -1,14 +1,25 @@
 #include "core/encoders.h"
 
+#include <algorithm>
+
+#include "nn/kernels.h"
 #include "nn/ops.h"
 
 namespace traj2hash::core {
+namespace {
+
+int CheckedDim(const embedding::GridRepresentation* representation) {
+  T2H_CHECK(representation != nullptr);
+  return representation->dim();
+}
+
+}  // namespace
 
 using nn::Tensor;
 
 GpsEncoder::GpsEncoder(int dim, int num_blocks, int num_heads,
                        ReadOut read_out, Rng& rng, bool use_layer_norm)
-    : read_out_(read_out) {
+    : dim_(dim), read_out_(read_out), positions_(kCachedPositions, dim) {
   input_proj_ = std::make_unique<nn::Linear>(2, dim, rng);
   RegisterChild(*input_proj_);
   for (int i = 0; i < num_blocks; ++i) {
@@ -55,10 +66,43 @@ Tensor GpsEncoder::Forward(
   return {};
 }
 
+void GpsEncoder::Embed(const std::vector<traj::Point>& normalized,
+                       float* out) const {
+  T2H_CHECK(!normalized.empty());
+  const int n = static_cast<int>(normalized.size());
+  const int cls_rows = read_out_ == ReadOut::kCls ? 1 : 0;
+  const int rows = n + cls_rows;
+  const auto coords = nn::Scratch(2L * n);
+  for (int i = 0; i < n; ++i) {
+    coords[2 * i] = static_cast<float>(normalized[i].x);
+    coords[2 * i + 1] = static_cast<float>(normalized[i].y);
+  }
+  const auto x_buf = nn::Scratch(static_cast<long>(rows) * dim_);
+  const auto y_buf = nn::Scratch(static_cast<long>(rows) * dim_);
+  float *x = x_buf.get(), *y = y_buf.get();
+  input_proj_->Apply(coords.get(), n, x + static_cast<long>(cls_rows) * dim_);
+  if (cls_rows == 1) std::copy_n(cls_->value().data(), dim_, x);
+  positions_.AddTo(x, rows);
+  // A first-token read-out keeps row 0 only, so the last block computes
+  // just that row (all rows still serve as keys and values).
+  int live_rows = rows;
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    if (b + 1 == blocks_.size() && read_out_ != ReadOut::kMean) live_rows = 1;
+    blocks_[b]->Apply(x, rows, live_rows, y);
+    std::swap(x, y);
+  }
+  if (read_out_ == ReadOut::kMean) {
+    nn::kernels::MeanRowsFwd(x, out, rows, dim_);
+  } else {
+    std::copy_n(x, dim_, out);
+  }
+}
+
 GridChannelEncoder::GridChannelEncoder(
     const embedding::GridRepresentation* representation, int dim, Rng& rng)
-    : representation_(representation) {
-  T2H_CHECK(representation != nullptr);
+    : representation_(representation),
+      dim_(dim),
+      positions_(kCachedPositions, CheckedDim(representation)) {
   // Eq. 9: MLP_g is a two-layer fully connected network with ReLU.
   mlp_ = std::make_unique<nn::Mlp>(
       std::vector<int>{representation->dim(), dim, dim}, rng);
@@ -72,6 +116,18 @@ Tensor GridChannelEncoder::Forward(
   // Eq. 8: add sinusoidal positions, then MLP + mean pooling (Eq. 9).
   e = nn::Add(e, nn::PositionalEncoding(e->rows(), e->cols()));
   return nn::MeanRows(mlp_->Forward(e));
+}
+
+void GridChannelEncoder::Embed(const std::vector<traj::Cell>& cells,
+                               float* out) const {
+  T2H_CHECK(!cells.empty());
+  const int n = static_cast<int>(cells.size());
+  const auto e = nn::Scratch(static_cast<long>(n) * positions_.dim());
+  representation_->SequenceEmbeddingInto(cells, e.get());
+  positions_.AddTo(e.get(), n);
+  const auto h = nn::Scratch(static_cast<long>(n) * dim_);
+  mlp_->Apply(e.get(), n, h.get());
+  nn::kernels::MeanRowsFwd(h.get(), out, n, dim_);
 }
 
 }  // namespace traj2hash::core

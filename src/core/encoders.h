@@ -12,6 +12,11 @@
 
 namespace traj2hash::core {
 
+/// Positions cached per encoder for inference (nn::PositionTable). Covers
+/// every serving trip (the CLI caps trips at 24 points) with room to spare;
+/// longer sequences compute their extra rows per call.
+inline constexpr int kCachedPositions = 128;
+
 /// Attention-based trajectory encoder (§IV-D): a 1-layer MLP lifts each
 /// normalised GPS point to `dim`, sinusoidal positions are added, `m`
 /// residual attention+MLP blocks mix the sequence, and a read-out summarises
@@ -26,11 +31,20 @@ class GpsEncoder : public nn::Module {
   /// Returns the [1, dim] trajectory embedding h_l.
   nn::Tensor Forward(const std::vector<traj::Point>& normalized) const;
 
+  /// Inference twin of Forward: writes h_l (dim floats) to `out`,
+  /// bit-identical to Forward(normalized)'s value. Builds no tensor, reads
+  /// the live parameter values and owns its scratch per call, so concurrent
+  /// calls are safe. The last block computes only the row the
+  /// first-token read-outs (kLowerBound, kCls) keep.
+  void Embed(const std::vector<traj::Point>& normalized, float* out) const;
+
  private:
+  int dim_;
   ReadOut read_out_;
   std::unique_ptr<nn::Linear> input_proj_;
   std::vector<std::unique_ptr<nn::EncoderBlock>> blocks_;
   nn::Tensor cls_;  // learnable CLS token; null unless read_out == kCls
+  nn::PositionTable positions_;
 };
 
 /// Light-weight grid trajectory read-out (§IV-C, Eq. 8-9): provider
@@ -45,9 +59,15 @@ class GridChannelEncoder : public nn::Module {
   /// Returns the [1, dim] grid-channel embedding h_g of a cell sequence.
   nn::Tensor Forward(const std::vector<traj::Cell>& cells) const;
 
+  /// Inference twin of Forward: writes h_g (dim floats) to `out`, with the
+  /// same guarantees as GpsEncoder::Embed.
+  void Embed(const std::vector<traj::Cell>& cells, float* out) const;
+
  private:
   const embedding::GridRepresentation* representation_;
+  int dim_;
   std::unique_ptr<nn::Mlp> mlp_;
+  nn::PositionTable positions_;  // width representation_->dim()
 };
 
 }  // namespace traj2hash::core

@@ -1,5 +1,6 @@
 #include "core/model.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -123,8 +124,41 @@ std::vector<Tensor> Traj2Hash::ProjectorParameters() const {
 }
 
 std::vector<float> Traj2Hash::Embed(const traj::Trajectory& t) const {
-  nn::NoGradGuard no_grad;
-  return EncodeContinuous(t)->value();
+  // The inference twin of EncodeContinuous (DESIGN.md §8): the same
+  // arithmetic over plain buffers, so the result is bitwise equal to
+  // EncodeContinuous(t)->value(). Both directions are stacked as rows of one
+  // [dirs, width] feature matrix, so fuse and projection run once.
+  T2H_CHECK(!t.empty());
+  const int d = config_.dim;
+  const int dirs = config_.use_rev_aug ? 2 : 1;
+  const int width = grid_encoder_ ? 2 * d : d;  // [h_l, h_g] or h_l
+  std::vector<traj::Point> points = normalizer_.Apply(t);
+  std::vector<traj::Cell> cells;
+  if (grid_encoder_) cells = fine_grid_.Map(t).cells;
+  std::vector<float> features(static_cast<size_t>(dirs) * width), fused;
+  for (int dir = 0; dir < dirs; ++dir) {
+    if (dir == 1) {
+      // T^r: normalising and grid-mapping are per point, so reversing
+      // their outputs equals encoding traj::Reversed(t).
+      std::reverse(points.begin(), points.end());
+      std::reverse(cells.begin(), cells.end());
+    }
+    float* row = features.data() + static_cast<size_t>(dir) * width;
+    gps_encoder_->Embed(points, row);
+    if (grid_encoder_) grid_encoder_->Embed(cells, row + d);
+  }
+  const float* h = features.data();
+  if (fuse_) {
+    // Eq. 14: h = MLP_f([h_l, h_g]).
+    fused.resize(static_cast<size_t>(dirs) * d);
+    fuse_->Apply(features.data(), dirs, fused.data());
+    h = fused.data();
+  }
+  // Eq. 15: the rows [W_p h; W_p h_r] laid end to end are [W_p h, W_p h_r].
+  std::vector<float> out(d);
+  (config_.use_rev_aug ? projector_ : projector_full_)
+      ->Apply(h, dirs, out.data());
+  return out;
 }
 
 std::vector<std::vector<float>> Traj2Hash::EmbedBatch(
@@ -134,10 +168,18 @@ std::vector<std::vector<float>> Traj2Hash::EmbedBatch(
     for (size_t i = 0; i < ts.size(); ++i) out[i] = Embed(ts[i]);
     return out;
   }
+  // Contiguous chunks, a few per worker so uneven trip lengths still
+  // balance, instead of one std::function per trip.
+  const size_t chunks =
+      std::min(ts.size(), static_cast<size_t>(pool->num_threads()) * 4);
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(ts.size());
-  for (size_t i = 0; i < ts.size(); ++i) {
-    tasks.push_back([this, &ts, &out, i] { out[i] = Embed(ts[i]); });
+  tasks.reserve(chunks);
+  for (size_t c = 0; c < chunks; ++c) {
+    const size_t begin = ts.size() * c / chunks;
+    const size_t end = ts.size() * (c + 1) / chunks;
+    tasks.push_back([this, &ts, &out, begin, end] {
+      for (size_t i = begin; i < end; ++i) out[i] = Embed(ts[i]);
+    });
   }
   pool->RunAll(std::move(tasks));
   return out;

@@ -43,7 +43,8 @@ class Traj2Hash {
       Rng& rng);
 
   /// Encodes a trajectory to its final representation h_f (Eq. 15) as a
-  /// [1, dim] tensor attached to the autograd graph (for training).
+  /// [1, dim] tensor attached to the autograd graph. Training path only;
+  /// inference goes through Embed.
   nn::Tensor EncodeContinuous(const traj::Trajectory& t) const;
 
   /// Fused pre-projection features of Eq. 14: `first` is h(T); `second` is
@@ -62,14 +63,22 @@ class Traj2Hash {
   /// ablation variant).
   std::vector<nn::Tensor> ProjectorParameters() const;
 
-  /// Convenience: h_f values only (for retrieval). Runs in inference mode
-  /// (NoGradGuard): no autograd tape is built, and the encode is read-only
-  /// over parameters, so concurrent calls from pool workers are safe.
+  /// h_f values only (for retrieval and serving), from the inference-only
+  /// forward: plain float buffers, no tensors and no tape, positions from a
+  /// table built once, and the last encoder block pruned to the row a
+  /// first-token read-out keeps. Bitwise equal to
+  /// EncodeContinuous(t)->value() on every kernel backend (DESIGN.md §8).
+  /// Reads the live parameter values on every call, so it reflects Load,
+  /// RestoreParameters, UseGridRepresentation and optimizer steps at once.
+  /// Thread-safe: scratch is owned per call and parameters are only read, so
+  /// any number of threads may call it concurrently (but not concurrently
+  /// with a mutator).
   std::vector<float> Embed(const traj::Trajectory& t) const;
 
-  /// Embeds a whole corpus, fanning trajectories across `pool` (nullptr or a
-  /// single-thread pool falls back to a serial loop). Output order matches
-  /// input order regardless of scheduling.
+  /// Embeds a whole corpus, giving each `pool` task a contiguous chunk of
+  /// trajectories (nullptr or a single-thread pool falls back to a serial
+  /// loop on the caller). Output order matches input order, and every row
+  /// equals Embed of its trajectory bitwise.
   std::vector<std::vector<float>> EmbedBatch(
       const std::vector<traj::Trajectory>& ts, ThreadPool* pool) const;
 

@@ -49,6 +49,21 @@ Tensor DecomposedGridEmbedding::SequenceEmbedding(
   return frozen_ ? nn::Detach(e) : e;
 }
 
+void DecomposedGridEmbedding::SequenceEmbeddingInto(
+    const std::vector<traj::Cell>& cells, float* out) const {
+  T2H_CHECK(!cells.empty());
+  const float* xt = x_table_->table()->value().data();
+  const float* yt = y_table_->table()->value().data();
+  for (size_t r = 0; r < cells.size(); ++r) {
+    const traj::Cell& c = cells[r];
+    T2H_CHECK(c.x >= 0 && c.x < num_x_ && c.y >= 0 && c.y < num_y_);
+    const float* __restrict xrow = xt + static_cast<long>(c.x) * dim_;
+    const float* __restrict yrow = yt + static_cast<long>(c.y) * dim_;
+    float* __restrict orow = out + static_cast<long>(r) * dim_;
+    for (int d = 0; d < dim_; ++d) orow[d] = xrow[d] + yrow[d];
+  }
+}
+
 double DecomposedGridEmbedding::Pretrain(const GridPretrainOptions& options,
                                          Rng& rng) {
   T2H_CHECK(!frozen_);

@@ -22,6 +22,11 @@ class GridRepresentation {
   virtual nn::Tensor SequenceEmbedding(
       const std::vector<traj::Cell>& cells) const = 0;
 
+  /// Inference twin of SequenceEmbedding: writes the same values, bitwise,
+  /// to out[cells.size(), dim()] without building a tensor.
+  virtual void SequenceEmbeddingInto(const std::vector<traj::Cell>& cells,
+                                     float* out) const = 0;
+
   virtual int dim() const = 0;
 };
 
@@ -56,6 +61,10 @@ class DecomposedGridEmbedding : public nn::Module, public GridRepresentation {
   /// after Freeze() so no gradient flows into the tables.
   nn::Tensor SequenceEmbedding(
       const std::vector<traj::Cell>& cells) const override;
+
+  /// e_x + e_y per cell from the live table values.
+  void SequenceEmbeddingInto(const std::vector<traj::Cell>& cells,
+                             float* out) const override;
 
   int dim() const override { return dim_; }
 

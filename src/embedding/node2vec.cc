@@ -147,13 +147,15 @@ nn::Tensor Node2vecGridEmbedding::SequenceEmbedding(
     const std::vector<traj::Cell>& cells) const {
   T2H_CHECK(!cells.empty());
   nn::Tensor out = nn::MakeTensor(static_cast<int>(cells.size()), dim_, false);
-  for (size_t r = 0; r < cells.size(); ++r) {
-    const float* e = EmbeddingOf(cells[r]);
-    for (int d = 0; d < dim_; ++d) {
-      out->at(static_cast<int>(r), d) = e[d];
-    }
-  }
+  SequenceEmbeddingInto(cells, out->value().data());
   return out;
+}
+
+void Node2vecGridEmbedding::SequenceEmbeddingInto(
+    const std::vector<traj::Cell>& cells, float* out) const {
+  for (size_t r = 0; r < cells.size(); ++r) {
+    std::copy_n(EmbeddingOf(cells[r]), dim_, out + r * dim_);
+  }
 }
 
 const float* Node2vecGridEmbedding::EmbeddingOf(const traj::Cell& c) const {

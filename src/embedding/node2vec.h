@@ -43,6 +43,9 @@ class Node2vecGridEmbedding : public GridRepresentation {
   nn::Tensor SequenceEmbedding(
       const std::vector<traj::Cell>& cells) const override;
 
+  void SequenceEmbeddingInto(const std::vector<traj::Cell>& cells,
+                             float* out) const override;
+
   int dim() const override { return dim_; }
 
   /// Raw embedding row of a cell (length dim()).

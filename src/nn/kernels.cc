@@ -66,9 +66,11 @@ float Dot(const float* a, const float* b, int n) {
   return Active().dot(a, b, n);
 }
 
-// Softmax fwd/bwd are NOT dispatched: row reductions dominated by exp(), so
+// Softmax fwd/bwd and the row-statistics loops below are NOT dispatched:
+// row reductions dominated by exp()/sqrt() or too short to vectorise, so
 // SIMD buys little, and keeping one implementation makes them bit-identical
-// across every ISA selection by construction.
+// across every ISA selection by construction. The autograd ops and the
+// inference encoder both call them, so the two paths share every leaf loop.
 
 void SoftmaxRowsFwd(const float* x, float* out, int rows, int cols) {
   for (int r = 0; r < rows; ++r) {
@@ -97,6 +99,36 @@ void SoftmaxRowsBwd(const float* y, const float* dy, float* dx, int rows,
     float dot = 0.0f;
     for (int c = 0; c < cols; ++c) dot += dyrow[c] * yrow[c];
     for (int c = 0; c < cols; ++c) dxrow[c] += yrow[c] * (dyrow[c] - dot);
+  }
+}
+
+void NormalizeRowsFwd(const float* x, float* out, float* inv_sigma, int rows,
+                      int cols, float epsilon) {
+  for (int r = 0; r < rows; ++r) {
+    const float* __restrict xrow = x + static_cast<long>(r) * cols;
+    float* __restrict orow = out + static_cast<long>(r) * cols;
+    float mean = 0.0f;
+    for (int j = 0; j < cols; ++j) mean += xrow[j];
+    mean /= cols;
+    float var = 0.0f;
+    for (int j = 0; j < cols; ++j) {
+      const float d = xrow[j] - mean;
+      var += d * d;
+    }
+    var /= cols;
+    const float is = 1.0f / std::sqrt(var + epsilon);
+    if (inv_sigma != nullptr) inv_sigma[r] = is;
+    for (int j = 0; j < cols; ++j) orow[j] = (xrow[j] - mean) * is;
+  }
+}
+
+void MeanRowsFwd(const float* x, float* out, int rows, int cols) {
+  const float inv_n = 1.0f / static_cast<float>(rows);
+  for (int c = 0; c < cols; ++c) {
+    // Column reduction with r ascending, matching the pre-kernel op.
+    float acc = 0.0f;
+    for (int r = 0; r < rows; ++r) acc += x[static_cast<long>(r) * cols + c];
+    out[c] = acc * inv_n;
   }
 }
 

@@ -18,8 +18,15 @@ namespace traj2hash::nn::kernels {
 ///    SIMD = lane-parallel chains + a fixed-order horizontal fold), so
 ///    results agree across backends to a relative epsilon (~1e-4 at this
 ///    repo's dims) but not bitwise;
-///  - SoftmaxRowsFwd/Bwd are not dispatched at all — one implementation,
-///    identical under every ISA selection.
+///  - SoftmaxRowsFwd/Bwd, NormalizeRowsFwd and MeanRowsFwd are not
+///    dispatched at all — one implementation, identical under every ISA
+///    selection;
+///  - MatMulAccum computes each output element in one ascending-k chain
+///    seeded from C whose shape depends only on (k, m, column), never on
+///    the row count or the row's position: an n-row call equals, bitwise,
+///    any split of it into row groups (down to one-row calls). The
+///    inference encoder relies on this to prune rows and stack rows
+///    (DESIGN.md §8).
 /// Do not add nondeterministic shortcuts (e.g. data-dependent blocking) to
 /// any backend: per-path reproducibility is what training and serving rely
 /// on.
@@ -60,6 +67,16 @@ void SoftmaxRowsFwd(const float* x, float* out, int rows, int cols);
 /// dx[r,:] += y[r,:] * (dy[r,:] - <dy[r,:], y[r,:]>) per row (softmax VJP).
 void SoftmaxRowsBwd(const float* y, const float* dy, float* dx, int rows,
                     int cols);
+
+/// out[r,:] = (x[r,:] - mean_r) * inv_sigma_r per row, the statistics part
+/// of layer normalisation; inv_sigma_r = 1 / sqrt(var_r + epsilon) is also
+/// written to `inv_sigma[r]` unless it is null.
+void NormalizeRowsFwd(const float* x, float* out, float* inv_sigma, int rows,
+                      int cols, float epsilon);
+
+/// out[c] = (sum over r ascending of x[r,c]) * (1 / rows): the mean-pooling
+/// read-out.
+void MeanRowsFwd(const float* x, float* out, int rows, int cols);
 
 }  // namespace traj2hash::nn::kernels
 

@@ -17,6 +17,12 @@ class Linear : public Module {
   /// x: [n, in_dim] -> [n, out_dim].
   Tensor Forward(const Tensor& x) const;
 
+  /// Inference twin of Forward over plain row-major buffers: writes
+  /// y[n, out_dim] = x[n, in_dim] W + b, reading the live parameter values.
+  /// Bit-identical to Forward's value row for row, for any n (see the row
+  /// contract of kernels::MatMulAccum).
+  void Apply(const float* x, int n, float* y) const;
+
   int in_dim() const { return weight_->rows(); }
   int out_dim() const { return weight_->cols(); }
 
@@ -33,6 +39,9 @@ class Mlp : public Module {
   Mlp(const std::vector<int>& dims, Rng& rng);
 
   Tensor Forward(const Tensor& x) const;
+
+  /// Inference twin of Forward: x [n, dims.front()] -> y [n, dims.back()].
+  void Apply(const float* x, int n, float* y) const;
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
@@ -63,6 +72,13 @@ class MultiHeadAttention : public Module {
   /// x: [n, dim] -> [n, dim].
   Tensor Forward(const Tensor& x) const;
 
+  /// Inference twin of Forward for the first `q_rows` query rows: keys and
+  /// values cover all n rows of x, and y is [q_rows, dim], bit-identical to
+  /// rows [0, q_rows) of Forward's value.
+  void Apply(const float* x, int n, int q_rows, float* y) const;
+
+  int dim() const { return num_heads_ * head_dim_; }
+
  private:
   int num_heads_;
   int head_dim_;
@@ -79,6 +95,9 @@ class LayerNorm : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
+  /// Inference twin of Forward: x [n, dim] -> y [n, dim].
+  void Apply(const float* x, int n, float* y) const;
+
  private:
   Tensor gamma_;  // [1, dim], initialised to ones
   Tensor beta_;   // [1, dim], initialised to zeros
@@ -94,6 +113,12 @@ class EncoderBlock : public Module {
                bool use_layer_norm = false);
 
   Tensor Forward(const Tensor& x) const;
+
+  /// Inference twin of Forward that computes only the first `out_rows`
+  /// output rows (every row still serves as key and value): x [n, dim] ->
+  /// y [out_rows, dim], bit-identical to those rows of Forward's value.
+  /// `y` must not alias `x`.
+  void Apply(const float* x, int n, int out_rows, float* y) const;
 
  private:
   std::unique_ptr<MultiHeadAttention> attn_;
@@ -121,9 +146,40 @@ class GruCell : public Module {
   std::unique_ptr<Linear> xz_, hz_, xr_, hr_, xh_, hh_;
 };
 
+/// Per-call scratch for the inference path: `n` uninitialised floats owned
+/// by the calling function, so concurrent calls share nothing. Not
+/// thread_local on purpose: long-lived per-thread buffers raised resident
+/// memory from 51 to 78 MB, with the same bytes in use, in a serving probe
+/// (3 engine set-ups of 20k inserts and 2,000 queries each; DESIGN.md §8).
+inline std::unique_ptr<float[]> Scratch(long n) {
+  return std::make_unique_for_overwrite<float[]>(n);
+}
+
 /// Sinusoidal positional encoding (Eq. 8), returned as a constant [n, dim]
 /// tensor to be added to a sequence representation.
 Tensor PositionalEncoding(int n, int dim);
+
+/// The first `rows` rows of PositionalEncoding(·, dim), computed once at
+/// construction and immutable afterwards, so concurrent readers need no
+/// synchronisation. Inference adds positions from here instead of
+/// recomputing pow/sin/cos per call.
+class PositionTable {
+ public:
+  PositionTable(int rows, int dim);
+
+  /// x[r, :] += PE(r, :) for r in [0, n), bit-identical to adding
+  /// PositionalEncoding(n, dim). Rows past the table are computed into
+  /// call-local scratch.
+  void AddTo(float* x, int n) const;
+
+  int rows() const { return rows_; }
+  int dim() const { return dim_; }
+
+ private:
+  int rows_;
+  int dim_;
+  std::vector<float> table_;  // [rows, dim]
+};
 
 }  // namespace traj2hash::nn
 

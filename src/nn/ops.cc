@@ -341,22 +341,8 @@ Tensor NormalizeRows(const Tensor& a, float epsilon) {
   // value, so it must be complete before MakeOp runs.
   std::vector<float> values(static_cast<size_t>(rows) * cols);
   std::vector<float> inv_sigma(rows);
-  const float* __restrict av = a->value().data();
-  for (int r = 0; r < rows; ++r) {
-    const float* __restrict arow = av + static_cast<long>(r) * cols;
-    float* __restrict vrow = values.data() + static_cast<long>(r) * cols;
-    float mean = 0.0f;
-    for (int j = 0; j < cols; ++j) mean += arow[j];
-    mean /= cols;
-    float var = 0.0f;
-    for (int j = 0; j < cols; ++j) {
-      const float d = arow[j] - mean;
-      var += d * d;
-    }
-    var /= cols;
-    inv_sigma[r] = 1.0f / std::sqrt(var + epsilon);
-    for (int j = 0; j < cols; ++j) vrow[j] = (arow[j] - mean) * inv_sigma[r];
-  }
+  kernels::NormalizeRowsFwd(a->value().data(), values.data(), inv_sigma.data(),
+                            rows, cols, epsilon);
   Tensor out = MakeOp(
       rows, cols,
       [&] {
@@ -548,14 +534,7 @@ Tensor MeanRows(const Tensor& a) {
         };
       },
       a);
-  const float* av = a->value().data();
-  float* __restrict ov = out->value().data();
-  for (int c = 0; c < cols; ++c) {
-    // Column reduction with r ascending, matching the pre-kernel op.
-    float acc = 0.0f;
-    for (int r = 0; r < rows; ++r) acc += av[static_cast<long>(r) * cols + c];
-    ov[c] = acc * inv_n;
-  }
+  kernels::MeanRowsFwd(a->value().data(), out->value().data(), rows, cols);
   return out;
 }
 

@@ -60,17 +60,10 @@ Result<int> QueryEngine::Insert(const traj::Trajectory& t) {
 
 Status QueryEngine::InsertAll(const std::vector<traj::Trajectory>& ts) {
   if (ts.empty()) return Status::Ok();
-  // Encode in parallel (the dominant cost), insert sequentially so global
-  // ids deterministically follow input order. Under a WAL the whole batch
-  // commits with one fsync (ShardedIndex::InsertBatch).
-  std::vector<std::vector<float>> embeddings(ts.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(ts.size());
-  for (size_t i = 0; i < ts.size(); ++i) {
-    tasks.push_back(
-        [this, &ts, &embeddings, i] { embeddings[i] = model_->Embed(ts[i]); });
-  }
-  pool_.RunAll(std::move(tasks));
+  // Encode in parallel on the pool (the dominant cost), insert
+  // sequentially so global ids deterministically follow input order. Under
+  // a WAL the whole batch commits with one fsync (ShardedIndex::InsertBatch).
+  std::vector<std::vector<float>> embeddings = model_->EmbedBatch(ts, &pool_);
   std::vector<search::Code> codes;
   codes.reserve(embeddings.size());
   for (const std::vector<float>& embedding : embeddings) {

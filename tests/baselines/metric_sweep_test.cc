@@ -1,6 +1,8 @@
 // Parameterised sweep: every WMSE-trainable baseline must train under every
 // measure and beat an untrained copy of itself on validation HR@10.
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "baselines/metric_trainer.h"
@@ -37,7 +39,17 @@ Env MakeEnv() {
   return env;
 }
 
-using Case = std::pair<const char*, dist::Measure>;
+struct Case {
+  const char* encoder;
+  dist::Measure measure;
+};
+
+// Names the case in test listings by encoder and measure; gtest's default
+// byte dump would print the `encoder` pointer, so the listed test name would
+// change from one process to the next.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.encoder << " on " << dist::MeasureName(c.measure);
+}
 
 class BaselineSweepTest : public ::testing::TestWithParam<Case> {};
 
@@ -103,8 +115,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"transformer", dist::Measure::kDtw},
                       Case{"trajgat", dist::Measure::kFrechet}),
     [](const auto& info) {
-      return std::string(info.param.first) + "_" +
-             dist::MeasureName(info.param.second);
+      return std::string(info.param.encoder) + "_" +
+             dist::MeasureName(info.param.measure);
     });
 
 }  // namespace

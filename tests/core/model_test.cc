@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include <filesystem>
@@ -10,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/trainer.h"
+#include "distance/distance.h"
+#include "embedding/node2vec.h"
 #include "traj/synthetic.h"
 
 namespace traj2hash::core {
@@ -173,6 +177,70 @@ TEST(ModelTest, SnapshotRestoreRoundTrip) {
   EXPECT_NE(model->Embed(corpus[0]), before);
   model->RestoreParameters(snapshot);
   EXPECT_EQ(model->Embed(corpus[0]), before);
+}
+
+// Embed reads the parameter tensors at call time. After every way the
+// weights can change it must still equal the autograd path bitwise; a
+// compiled or cached copy of the weights would go stale here.
+TEST(ModelTest, EmbedStaysBitIdenticalToAutogradAcrossParameterMutations) {
+  Rng rng(31);
+  const auto corpus = Corpus(24);
+  Traj2HashConfig cfg = TinyConfig();
+  cfg.fine_cell_m = 500.0;  // keeps the node2vec table small
+  cfg.samples_per_anchor = 4;
+  cfg.batch_size = 8;
+  cfg.triplet_batch_size = 4;
+  auto model = std::move(Traj2Hash::Create(cfg, corpus, rng).value());
+  const traj::Trajectory& probe = corpus[0];
+  auto expect_fresh = [&](const char* after) {
+    for (int i = 0; i < 4; ++i) {
+      std::vector<float> autograd;
+      {
+        nn::NoGradGuard no_grad;
+        autograd = model->EncodeContinuous(corpus[i])->value();
+      }
+      const std::vector<float> fast = model->Embed(corpus[i]);
+      EXPECT_EQ(0, std::memcmp(fast.data(), autograd.data(),
+                               fast.size() * sizeof(float)))
+          << "after " << after << ", trip " << i;
+    }
+  };
+  expect_fresh("construction");
+  const auto initial = model->SnapshotParameters();
+  const auto initial_probe = model->Embed(probe);
+
+  Rng other_rng(77);
+  auto other = std::move(Traj2Hash::Create(cfg, corpus, other_rng).value());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "t2h_fresh_test.bin").string();
+  ASSERT_TRUE(other->Save(path).ok());
+  ASSERT_TRUE(model->Load(path).ok());
+  std::remove(path.c_str());
+  expect_fresh("Load");
+  EXPECT_EQ(model->Embed(probe), other->Embed(probe));
+  EXPECT_NE(model->Embed(probe), initial_probe);
+
+  model->RestoreParameters(initial);
+  expect_fresh("RestoreParameters");
+  EXPECT_EQ(model->Embed(probe), initial_probe);
+
+  auto n2v = std::make_unique<embedding::Node2vecGridEmbedding>(
+      model->fine_grid().num_x(), model->fine_grid().num_y(), cfg.dim, rng);
+  model->UseGridRepresentation(std::move(n2v), rng);
+  expect_fresh("UseGridRepresentation");
+  const auto swapped_probe = model->Embed(probe);
+  EXPECT_NE(swapped_probe, initial_probe);
+
+  TrainingData data;
+  data.seeds.assign(corpus.begin(), corpus.begin() + 16);
+  data.seed_distances = dist::PairwiseMatrix(
+      data.seeds, dist::GetDistance(dist::Measure::kFrechet));
+  data.triplet_corpus = corpus;
+  Trainer trainer(model.get(), TrainerOptions{.triplets_per_step = 2,
+                                              .refine_epochs = 0});
+  ASSERT_TRUE(trainer.Fit(data, rng).ok());
+  expect_fresh("one trainer epoch");
+  EXPECT_NE(model->Embed(probe), swapped_probe);
 }
 
 TEST(ModelTest, SaveLoadRoundTrip) {

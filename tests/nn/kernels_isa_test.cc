@@ -159,6 +159,40 @@ TEST_P(KernelIsaContractTest, MatMulKernelsDeterministicAndNearScalar) {
   }
 }
 
+// The row contract the inference encoder relies on to prune rows and stack
+// rows (kernels.h, DESIGN.md §8): within one backend, an n-row MatMulAccum
+// equals, bitwise, every split of it into consecutive row groups, down to
+// one-row calls. All 2^(n-1) splits are tried for each n.
+TEST_P(KernelIsaContractTest, MatMulAccumEqualsEveryRowSplit) {
+  ScopedKernelIsa pin(isa_);
+  Rng rng(104);
+  for (const int k : {2, 16, 64, 128}) {
+    for (const int m : {16, 23, 32, 64, 128, 192}) {
+      const std::vector<float> b = RandomVec(k * m, rng);
+      for (int n = 1; n <= 9; ++n) {
+        const std::vector<float> a = RandomVec(n * k, rng);
+        const std::vector<float> c0 = RandomVec(n * m, rng);  // accumulate into
+        std::vector<float> whole = c0;
+        MatMulAccum(a.data(), b.data(), whole.data(), n, k, m);
+        // Bit r of `cuts` set = a group boundary before row r + 1.
+        for (unsigned cuts = 0; cuts < (1u << (n - 1)); ++cuts) {
+          std::vector<float> split = c0;
+          int r0 = 0;
+          for (int r = 1; r <= n; ++r) {
+            if (r < n && !(cuts & (1u << (r - 1)))) continue;
+            MatMulAccum(a.data() + static_cast<long>(r0) * k, b.data(),
+                        split.data() + static_cast<long>(r0) * m, r - r0, k,
+                        m);
+            r0 = r;
+          }
+          ASSERT_TRUE(BitIdentical(whole, split))
+              << "n=" << n << " k=" << k << " m=" << m << " cuts=" << cuts;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(KernelIsaContractTest, DotDeterministicAndNearScalar) {
   Rng rng(103);
   for (const int n : {1, 4, 7, 8, 31, 128, 1000}) {

@@ -68,6 +68,17 @@ quant_stress() {
     -R 'ConcurrentRerankAndMutationsAreRaceFree' --repeat until-fail:3
 }
 
+# The inference-encoder stress
+# (EmbedConcurrencyTest.ThreadsAndBatchMatchSerialStress: eight threads call
+# Traj2Hash::Embed beside an EmbedBatch on a pool, each result checked
+# bitwise against the serial one) is where encoder scratch or a cache shared
+# across threads would surface — DESIGN.md 8.
+embed_stress() {
+  echo "==== lane: tsan-embed-stress (build-tsan) ===="
+  ctest --test-dir build-tsan --output-on-failure \
+    -R 'ThreadsAndBatchMatchSerialStress' --repeat until-fail:3
+}
+
 # The quantized embedding store end to end (DESIGN.md 17): the
 # quant-labelled suites (params / lattice round trips, re-ranker
 # bit-identity, per-ISA quantized kernels, snapshot v3, churn property
@@ -151,6 +162,7 @@ case "${lanes}" in
     frontend_stress
     socket_stress
     quant_stress
+    embed_stress
     ;;
   simd)  simd_lane ;;
   chaos) chaos_lane ;;
@@ -166,6 +178,7 @@ case "${lanes}" in
     frontend_stress
     socket_stress
     quant_stress
+    embed_stress
     ;;
   *)
     echo "usage: tools/check.sh [fast|plain|asan|tsan|simd|chaos|quant|all]" >&2
