@@ -1,6 +1,7 @@
 #include "ingest/live_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <utility>
 
@@ -54,28 +55,10 @@ Status LiveIndex::QuantizeForAppendLocked(const std::vector<float>& embedding,
   qrow->clear();
   if (!options_.quantize || embedding.empty()) return Status::Ok();
   T2H_CHECK_EQ(static_cast<int>(embedding.size()), options_.embedding_dim);
-  if (qparams_.empty()) {
-    // Cold start: calibrate from the very first embedding-bearing row
-    // (zero-range widening keeps every step positive).
-    quant::ParamsBuilder builder(options_.embedding_dim);
-    if (const Status s = builder.Add(embedding.data()); !s.ok()) return s;
-    auto built = builder.Build();
-    if (!built.ok()) return built.status();
-    qparams_ = std::move(built.value());
-  } else if (base_->emb_rows == 0 && RowExpandsRangeLocked(embedding.data())) {
-    // While the whole lattice still lives in the delta (no compacted base
-    // holds an embedding row), an out-of-range insert widens the params and
-    // requantizes the delta in place instead of saturating — a bulk load
-    // must not let its first row dictate the corpus range. Once a base with
-    // embedding rows is installed, out-of-range rows saturate until the
-    // next compaction rebuild: base epochs are read outside the lock by
-    // compaction and can never be rewritten in place.
-    if (const Status s = ExpandParamsLocked(embedding.data()); !s.ok()) {
-      return s;
-    }
-  }
+  const float* row = embedding.data();
+  if (const Status s = CalibrateIfNeededLocked({row}); !s.ok()) return s;
   qrow->resize(embedding.size());
-  return qparams_.QuantizeRow(embedding.data(), qrow->data());
+  return qparams_.QuantizeRow(row, qrow->data());
 }
 
 bool LiveIndex::RowExpandsRangeLocked(const float* row) const {
@@ -89,36 +72,55 @@ bool LiveIndex::RowExpandsRangeLocked(const float* row) const {
   return false;
 }
 
-Status LiveIndex::ExpandParamsLocked(const float* row) {
+Status LiveIndex::CalibrateIfNeededLocked(
+    const std::vector<const float*>& rows) {
+  // Widen in place only while the whole lattice lives in the delta; once a
+  // base holds embedding rows, out-of-range rows saturate until the next
+  // compaction rebuild.
+  if (rows.empty()) return Status::Ok();
+  const bool needed =
+      qparams_.empty() ||
+      (base_->emb_rows == 0 &&
+       std::any_of(rows.begin(), rows.end(), [this](const float* row) {
+         return RowExpandsRangeLocked(row);
+       }));
+  if (!needed) return Status::Ok();
   const int dim = options_.embedding_dim;
-  // New range = old range ∪ row, rebuilt through the normal builder so the
+  // New range = old range ∪ rows, rebuilt through the normal builder so the
   // zero-range widening and scale_sq derivation stay in one place.
-  std::vector<float> corner_lo(dim);
-  std::vector<float> corner_hi(dim);
-  for (int j = 0; j < dim; ++j) {
-    corner_lo[j] = qparams_.scale[j] * (qparams_.zero_point[j] - 128.0f);
-    corner_hi[j] = corner_lo[j] + 255.0f * qparams_.scale[j];
-  }
   quant::ParamsBuilder builder(dim);
-  T2H_CHECK(builder.Add(corner_lo.data()).ok());  // finite by construction
-  T2H_CHECK(builder.Add(corner_hi.data()).ok());
-  if (const Status s = builder.Add(row); !s.ok()) return s;  // ±inf rejected
+  if (!qparams_.empty()) {
+    std::vector<float> corner_lo(dim);
+    std::vector<float> corner_hi(dim);
+    for (int j = 0; j < dim; ++j) {
+      corner_lo[j] = qparams_.scale[j] * (qparams_.zero_point[j] - 128.0f);
+      corner_hi[j] = corner_lo[j] + 255.0f * qparams_.scale[j];
+    }
+    T2H_CHECK(builder.Add(corner_lo.data()).ok());  // finite by construction
+    T2H_CHECK(builder.Add(corner_hi.data()).ok());
+  }
+  for (const float* row : rows) {
+    if (const Status s = builder.Add(row); !s.ok()) return s;  // non-finite
+  }
   auto built = builder.Build();
   if (!built.ok()) return built.status();
   quant::QuantizationParams next = std::move(built.value());
 
-  // Requantize every delta row onto the widened lattice. The exclusive lock
-  // makes the in-place overwrite safe: readers are excluded, and an
-  // in-flight compaction rebuild works on its own phase-1 copy of the delta
-  // (its install then requantizes the live suffix under whatever qparams_
-  // holds at install time — which this keeps consistent for every row).
-  std::vector<float> deq(dim);
-  std::vector<int8_t> req(dim);
-  for (int r = 0; r < delta_qrows_->rows(); ++r) {
-    if (delta_has_emb_[r] == 0) continue;
-    qparams_.DequantizeRow(delta_qrows_->row(r), deq.data());
-    T2H_CHECK(next.QuantizeRow(deq.data(), req.data()).ok());
-    delta_qrows_->OverwriteRow(r, req.data());
+  // Requantize every delta row onto the new lattice (none at cold start).
+  // The exclusive lock makes the in-place overwrite safe: readers are
+  // excluded, and an in-flight compaction rebuild works on its own phase-1
+  // copy of the delta (its install then requantizes the live suffix under
+  // whatever qparams_ holds at install time — which this keeps consistent
+  // for every row).
+  if (!qparams_.empty()) {
+    std::vector<float> deq(dim);
+    std::vector<int8_t> req(dim);
+    for (int r = 0; r < delta_qrows_->rows(); ++r) {
+      if (delta_has_emb_[r] == 0) continue;
+      qparams_.DequantizeRow(delta_qrows_->row(r), deq.data());
+      T2H_CHECK(next.QuantizeRow(deq.data(), req.data()).ok());
+      delta_qrows_->OverwriteRow(r, req.data());
+    }
   }
   qparams_ = std::move(next);
   return Status::Ok();
@@ -126,17 +128,17 @@ Status LiveIndex::ExpandParamsLocked(const float* row) {
 
 void LiveIndex::AppendDeltaLocked(int id, search::Code code,
                                   std::vector<float> embedding,
-                                  std::vector<int8_t> qrow) {
+                                  const int8_t* qrow) {
   const int row = delta_codes_.Append(code);
   delta_ids_.push_back(id);
   delta_dead_.push_back(0);
   if (options_.quantize) {
-    if (qrow.empty()) {
+    if (qrow == nullptr) {
       const std::vector<int8_t> zeros(options_.embedding_dim, 0);
       delta_qrows_->Append(zeros.data());
       delta_has_emb_.push_back(0);
     } else {
-      delta_qrows_->Append(qrow.data());
+      delta_qrows_->Append(qrow);
       delta_has_emb_.push_back(1);
     }
   } else {
@@ -147,19 +149,69 @@ void LiveIndex::AppendDeltaLocked(int id, search::Code code,
 
 Status LiveIndex::Insert(int id, search::Code code,
                          std::vector<float> embedding) {
-  T2H_CHECK_GE(id, 0);
-  T2H_CHECK_EQ(code.num_bits, options_.num_bits);
+  std::vector<search::Code> codes;
+  codes.push_back(std::move(code));
+  std::vector<std::vector<float>> embeddings;
+  embeddings.push_back(std::move(embedding));
+  return InsertBatch({id}, std::move(codes), std::move(embeddings));
+}
+
+Status LiveIndex::InsertBatch(const std::vector<int>& ids,
+                              std::vector<search::Code> codes,
+                              std::vector<std::vector<float>> embeddings) {
+  T2H_CHECK_EQ(ids.size(), codes.size());
+  T2H_CHECK_EQ(ids.size(), embeddings.size());
+  if (ids.empty()) return Status::Ok();
+  const int dim = options_.embedding_dim;
+  std::vector<const float*> rows;  // quantize mode: embedding-bearing rows
+  for (size_t i = 0; i < ids.size(); ++i) {
+    T2H_CHECK_GE(ids[i], 0);
+    T2H_CHECK_EQ(codes[i].num_bits, options_.num_bits);
+    if (options_.quantize && !embeddings[i].empty()) {
+      T2H_CHECK_EQ(static_cast<int>(embeddings[i].size()), dim);
+      rows.push_back(embeddings[i].data());
+    }
+  }
+  std::vector<int> sorted_ids = ids;
+  std::sort(sorted_ids.begin(), sorted_ids.end());
+  const auto repeated =
+      std::adjacent_find(sorted_ids.begin(), sorted_ids.end());
+  if (repeated != sorted_ids.end()) {
+    return Status::InvalidArgument("id " + std::to_string(*repeated) +
+                                   " appears twice in the batch");
+  }
+  for (const float* row : rows) {
+    for (int j = 0; j < dim; ++j) {
+      if (!std::isfinite(row[j])) {
+        return Status::InvalidArgument(
+            "non-finite embedding value at dim " + std::to_string(j) +
+            " cannot be quantized");
+      }
+    }
+  }
+
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (loc_.find(id) != loc_.end()) {
-    return Status::InvalidArgument("id " + std::to_string(id) +
-                                   " is already live");
+  for (const int id : ids) {
+    if (loc_.find(id) != loc_.end()) {
+      return Status::InvalidArgument("id " + std::to_string(id) +
+                                     " is already live");
+    }
   }
-  std::vector<int8_t> qrow;
-  if (const Status s = QuantizeForAppendLocked(embedding, &qrow); !s.ok()) {
-    return s;  // NaN rejection happens before any state changes
+  // Calibrate once: while the lattice is all-delta, the final range is
+  // (current range ∪ every batch row), so one rebuild — and at most one
+  // requantization of the existing delta — replaces the per-row widenings
+  // a row-at-a-time load would do. A compacted embedding base pins the
+  // params; then rows saturate.
+  T2H_CHECK(CalibrateIfNeededLocked(rows).ok());  // validated above
+  std::vector<int8_t> qrow(options_.quantize ? dim : 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const bool quantized = options_.quantize && !embeddings[i].empty();
+    if (quantized) {
+      T2H_CHECK(qparams_.QuantizeRow(embeddings[i].data(), qrow.data()).ok());
+    }
+    AppendDeltaLocked(ids[i], std::move(codes[i]), std::move(embeddings[i]),
+                      quantized ? qrow.data() : nullptr);
   }
-  AppendDeltaLocked(id, std::move(code), std::move(embedding),
-                    std::move(qrow));
   mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
@@ -206,7 +258,7 @@ Status LiveIndex::Update(int id, search::Code code,
   }
   loc_.erase(it);
   AppendDeltaLocked(id, std::move(code), std::move(embedding),
-                    std::move(qrow));
+                    qrow.empty() ? nullptr : qrow.data());
   mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
@@ -235,7 +287,7 @@ void LiveIndex::Upsert(int id, search::Code code,
     loc_.erase(it);
   }
   AppendDeltaLocked(id, std::move(code), std::move(embedding),
-                    std::move(qrow));
+                    qrow.empty() ? nullptr : qrow.data());
   mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -35,9 +35,9 @@ struct LiveIndexOptions {
   /// DESIGN.md §17) instead of float vectors — ~4× fewer resident bytes.
   /// Delta rows are quantized on insert under the shard's current params;
   /// while the store is all-delta (before the first compacted base holds an
-  /// embedding row) an out-of-range insert widens the params in place, and
-  /// afterwards it saturates until a compaction rebuilds the scales.
-  /// Requires `embedding_dim`.
+  /// embedding row) out-of-range rows widen the params in place (InsertBatch
+  /// calibrates once over the whole batch), and afterwards they saturate
+  /// until a compaction rebuilds the scales. Requires `embedding_dim`.
   bool quantize = false;
   /// Embedding width; required (> 0) when `quantize` is on, so the int8
   /// stores can be sized before the first row arrives.
@@ -69,9 +69,25 @@ class LiveIndex {
  public:
   explicit LiveIndex(const LiveIndexOptions& options);
 
-  /// Adds a new entry. kInvalidArgument if `id` is already live (ids of
-  /// removed entries may be re-inserted; the serving layer never does).
+  /// Adds a new entry: a one-row InsertBatch. kInvalidArgument if `id` is
+  /// already live (ids of removed entries may be re-inserted; the serving
+  /// layer never does).
   Status Insert(int id, search::Code code, std::vector<float> embedding);
+
+  /// Bulk apply: inserts entry i = (ids[i], codes[i], embeddings[i]) for
+  /// every i under one exclusive section. Validates first: an id that is
+  /// live or repeated in the batch, or (quantize mode) a non-finite
+  /// embedding, fails the whole call with kInvalidArgument and no state
+  /// change. In quantize mode an all-delta shard calibrates ONCE over
+  /// (current range ∪ every batch row), requantizes the existing delta at
+  /// most once, and quantizes each batch row once from its float — so every
+  /// batch row lands within half a step of its original and the lattice
+  /// does not depend on the batch order. With a compacted embedding base,
+  /// the params stay fixed and out-of-range rows saturate. Advances the
+  /// mutation epoch once.
+  Status InsertBatch(const std::vector<int>& ids,
+                     std::vector<search::Code> codes,
+                     std::vector<std::vector<float>> embeddings);
 
   /// Tombstones a live entry. kNotFound if `id` is not live.
   Status Remove(int id);
@@ -151,12 +167,12 @@ class LiveIndex {
     return compactions_run_.load(std::memory_order_acquire);
   }
 
-  /// Monotonic mutation epoch: advances on every successful Insert / Remove
-  /// / Update / Upsert (RemoveIfPresent counts via Remove) and on every
-  /// compaction install. A cheap relaxed read — consumers (the serve-side
-  /// result cache, DESIGN.md §15) need only monotonicity; visibility rides
-  /// the shard lock, because the increment happens inside the exclusive
-  /// section of the mutation it stamps.
+  /// Monotonic mutation epoch: advances on every successful Insert /
+  /// InsertBatch / Remove / Update / Upsert (RemoveIfPresent counts via
+  /// Remove) and on every compaction install. A cheap relaxed read —
+  /// consumers (the serve-side result cache, DESIGN.md §15) need only
+  /// monotonicity; visibility rides the shard lock, because the increment
+  /// happens inside the exclusive section of the mutation it stamps.
   uint64_t mutation_epoch() const {
     return mutation_epoch_.load(std::memory_order_relaxed);
   }
@@ -212,26 +228,32 @@ class LiveIndex {
     int row = -1;
   };
 
+  /// Appends one delta row. Quantize mode: `qrow` is the row's int8 values
+  /// under the current params, nullptr for an entry without an embedding.
   void AppendDeltaLocked(int id, search::Code code,
-                         std::vector<float> embedding,
-                         std::vector<int8_t> qrow);
-  /// Quantizes `embedding` under the shard params for a delta append,
-  /// calibrating the params from this very row when none exist yet (cold
-  /// start). kInvalidArgument on non-finite values, kind of failure the
-  /// caller must surface BEFORE mutating anything. `*qrow` stays empty for
-  /// an empty embedding (entry without one).
+                         std::vector<float> embedding, const int8_t* qrow);
+  /// Quantizes `embedding` under the shard params for an Update/Upsert
+  /// delta append, calibrating on this one row when CalibrateIfNeededLocked
+  /// says so (per-row widening). kInvalidArgument on non-finite
+  /// values, kind of failure the caller must surface BEFORE mutating
+  /// anything. `*qrow` stays empty for an empty embedding (entry without
+  /// one).
   Status QuantizeForAppendLocked(const std::vector<float>& embedding,
                                  std::vector<int8_t>* qrow);
   /// True when any value of `row` falls outside the current calibration
   /// range (NaN compares false on purpose: QuantizeRow rejects it later
   /// without touching the params).
   bool RowExpandsRangeLocked(const float* row) const;
-  /// Widens the params to (old range ∪ `row`) and requantizes every delta
-  /// row in place onto the new lattice (each stored value moves by at most
-  /// half a new step). Only legal while the base holds no embedding rows —
-  /// base epochs are read outside the lock by compaction and can never be
-  /// rewritten. kInvalidArgument (state untouched) on a non-finite row.
-  Status ExpandParamsLocked(const float* row);
+  /// The one "when to calibrate" policy, shared by every append path:
+  /// calibrates at cold start (no params yet), and while the base holds no
+  /// embedding rows also when any of `rows` falls outside the range — base
+  /// epochs are read outside the lock by compaction and can never be
+  /// rewritten, so afterwards rows saturate. Calibrating rebuilds the
+  /// params over (current range ∪ `rows`) — just `rows` at cold start — in
+  /// one ParamsBuilder pass and requantizes every delta row in place onto
+  /// the new lattice (each stored value moves by at most half a new step).
+  /// kInvalidArgument (state untouched) on a non-finite row.
+  Status CalibrateIfNeededLocked(const std::vector<const float*>& rows);
   bool NeedsCompactionLocked() const;
   std::vector<search::Neighbor> BaseTopKLocked(const search::Code& query,
                                                int k, const Deadline& deadline,

@@ -60,9 +60,10 @@ Result<int> QueryEngine::Insert(const traj::Trajectory& t) {
 
 Status QueryEngine::InsertAll(const std::vector<traj::Trajectory>& ts) {
   if (ts.empty()) return Status::Ok();
-  // Encode in parallel on the pool (the dominant cost), insert
-  // sequentially so global ids deterministically follow input order. Under
-  // a WAL the whole batch commits with one fsync (ShardedIndex::InsertBatch).
+  // Encode in parallel on the pool (the dominant cost), then insert as one
+  // batch: global ids follow input order, a WAL commits the whole batch
+  // with one fsync, and each shard applies its rows in one bulk call
+  // (ShardedIndex::InsertBatch).
   std::vector<std::vector<float>> embeddings = model_->EmbedBatch(ts, &pool_);
   std::vector<search::Code> codes;
   codes.reserve(embeddings.size());

@@ -89,41 +89,58 @@ Status ShardedIndex::InsertBatch(std::vector<search::Code> codes,
   for (const search::Code& code : codes) {
     T2H_CHECK_EQ(code.num_bits, num_bits_);
   }
+  const int n = static_cast<int>(codes.size());
+  std::vector<int> ids(n);
   if (wal_ == nullptr) {
-    for (size_t i = 0; i < codes.size(); ++i) {
-      const Result<int> inserted =
-          Insert(std::move(codes[i]), std::move(embeddings[i]));
-      T2H_CHECK(inserted.ok());
-    }
+    // One contiguous id block; concurrent inserts take ids around it.
+    const int first = next_id_.fetch_add(n, std::memory_order_acq_rel);
+    for (int i = 0; i < n; ++i) ids[i] = first + i;
+    ApplyFresh(ids, std::move(codes), std::move(embeddings));
     return Status::Ok();
   }
   std::lock_guard<std::mutex> lock(wal_mu_);
   const int first = next_id_.load(std::memory_order_acquire);
   std::vector<ingest::WalRecord> batch;
-  batch.reserve(codes.size());
-  for (size_t i = 0; i < codes.size(); ++i) {
+  batch.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    ids[i] = first + i;
     ingest::WalRecord record;
     record.type = ingest::WalRecordType::kInsert;
-    record.id = first + static_cast<int>(i);
+    record.id = ids[i];
     record.code = codes[i];
     record.embedding = embeddings[i];
     batch.push_back(std::move(record));
   }
   const Status committed = CommitLocked(std::move(batch));
   if (!committed.ok()) return committed;
-  next_id_.store(first + static_cast<int>(codes.size()),
-                 std::memory_order_release);
+  next_id_.store(first + n, std::memory_order_release);
   if (FaultInjector::Fire(faults::kWalApply)) {
     return Status::Internal(
         "injected crash between WAL append and index apply");
   }
-  for (size_t i = 0; i < codes.size(); ++i) {
-    const int id = first + static_cast<int>(i);
-    const Status applied = shards_[ShardOf(id)]->Insert(
-        id, std::move(codes[i]), std::move(embeddings[i]));
-    T2H_CHECK_MSG(applied.ok(), "fresh global ids cannot collide");
-  }
+  ApplyFresh(ids, std::move(codes), std::move(embeddings));
   return Status::Ok();
+}
+
+void ShardedIndex::ApplyFresh(const std::vector<int>& ids,
+                              std::vector<search::Code> codes,
+                              std::vector<std::vector<float>> embeddings) {
+  const int num_shards = static_cast<int>(shards_.size());
+  std::vector<std::vector<int>> shard_ids(num_shards);
+  std::vector<std::vector<search::Code>> shard_codes(num_shards);
+  std::vector<std::vector<std::vector<float>>> shard_embeddings(num_shards);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const int s = ShardOf(ids[i]);
+    shard_ids[s].push_back(ids[i]);
+    shard_codes[s].push_back(std::move(codes[i]));
+    shard_embeddings[s].push_back(std::move(embeddings[i]));
+  }
+  for (int s = 0; s < num_shards; ++s) {
+    const Status applied = shards_[s]->InsertBatch(
+        shard_ids[s], std::move(shard_codes[s]),
+        std::move(shard_embeddings[s]));
+    T2H_CHECK_MSG(applied.ok(), applied.message().c_str());
+  }
 }
 
 Status ShardedIndex::Remove(int id) {
@@ -435,8 +452,8 @@ Status ShardedIndex::LoadSnapshot(const std::string& path) {
       version != kSnapshotVersionLegacy ? reader.Read<uint64_t>() : 0;
   // Version 3: the global quantization params the payload rows were written
   // under; the entries are dequantized right here and flow through the
-  // normal float insert path (which re-quantizes per shard when this index
-  // runs in quantize mode).
+  // same bulk apply as float entries (which re-quantizes per shard when
+  // this index runs in quantize mode).
   quant::QuantizationParams v3_params;
   uint32_t v3_dim = 0;
   if (version == kSnapshotVersionQuantized) {
@@ -453,64 +470,62 @@ Status ShardedIndex::LoadSnapshot(const std::string& path) {
         "-bit codes, index expects " + std::to_string(num_bits_));
   }
   const int words_per_code = (num_bits_ + 63) / 64;
-  struct Loaded {
-    int id;
-    search::Code code;
-    std::vector<float> embedding;
-  };
-  std::vector<Loaded> loaded;
-  if (reader.ok()) loaded.reserve(count);
+  std::vector<int> ids;
+  std::vector<search::Code> codes;
+  std::vector<std::vector<float>> embeddings;
+  if (reader.ok()) {
+    ids.reserve(count);
+    codes.reserve(count);
+    embeddings.reserve(count);
+  }
   int64_t previous_id = -1;
   std::vector<int8_t> qrow(v3_dim);
   for (uint64_t i = 0; reader.ok() && i < count; ++i) {
-    Loaded entry;
-    entry.id = version != kSnapshotVersionLegacy
-                   ? static_cast<int>(reader.Read<uint64_t>())
-                   : static_cast<int>(i);
+    const int id = version != kSnapshotVersionLegacy
+                       ? static_cast<int>(reader.Read<uint64_t>())
+                       : static_cast<int>(i);
+    search::Code code;
+    std::vector<float> embedding;
     if (version == kSnapshotVersionQuantized) {
       const auto has = reader.Read<uint8_t>();
-      entry.code.num_bits = num_bits_;
-      entry.code.words.resize(words_per_code);
-      reader.ReadBytes(entry.code.words.data(),
-                       words_per_code * sizeof(uint64_t));
+      code.num_bits = num_bits_;
+      code.words.resize(words_per_code);
+      reader.ReadBytes(code.words.data(), words_per_code * sizeof(uint64_t));
       if (has != 0) {
         reader.ReadBytes(qrow.data(), v3_dim * sizeof(int8_t));
-        entry.embedding.resize(v3_dim);
+        embedding.resize(v3_dim);
         if (reader.ok()) {
-          v3_params.DequantizeRow(qrow.data(), entry.embedding.data());
+          v3_params.DequantizeRow(qrow.data(), embedding.data());
         }
       }
     } else {
       const auto embedding_len = reader.Read<uint32_t>();
-      entry.code.num_bits = num_bits_;
-      entry.code.words.resize(words_per_code);
-      reader.ReadBytes(entry.code.words.data(),
-                       words_per_code * sizeof(uint64_t));
-      entry.embedding.resize(embedding_len);
-      reader.ReadBytes(entry.embedding.data(), embedding_len * sizeof(float));
+      code.num_bits = num_bits_;
+      code.words.resize(words_per_code);
+      reader.ReadBytes(code.words.data(), words_per_code * sizeof(uint64_t));
+      embedding.resize(embedding_len);
+      reader.ReadBytes(embedding.data(), embedding_len * sizeof(float));
     }
     if (!reader.ok()) break;
     // The CRC vouches for the bytes, so structurally impossible ids mean
     // writer/reader disagreement: surface as data loss, load nothing.
-    if (entry.id <= previous_id ||
+    if (id <= previous_id ||
         (version != kSnapshotVersionLegacy &&
-         static_cast<uint64_t>(entry.id) >= next_id)) {
+         static_cast<uint64_t>(id) >= next_id)) {
       return Status::DataLoss("snapshot ids are not ascending below the "
                               "next-id watermark: " + path);
     }
-    previous_id = entry.id;
-    loaded.push_back(std::move(entry));
+    previous_id = id;
+    ids.push_back(id);
+    codes.push_back(std::move(code));
+    embeddings.push_back(std::move(embedding));
   }
   if (!reader.at_end()) {
     return Status::DataLoss("snapshot payload is malformed: " + path);
   }
   // The index is only mutated after the full parse, so every failure path
-  // above leaves it empty.
-  for (Loaded& entry : loaded) {
-    const Status applied = shards_[ShardOf(entry.id)]->Insert(
-        entry.id, std::move(entry.code), std::move(entry.embedding));
-    T2H_CHECK_MSG(applied.ok(), "snapshot ids are unique by construction");
-  }
+  // above leaves it empty. Ids ascend, so they are unique.
+  ApplyFresh(ids, std::move(codes), std::move(embeddings));
   next_id_.store(version != kSnapshotVersionLegacy
                      ? static_cast<int>(next_id)
                      : static_cast<int>(count),

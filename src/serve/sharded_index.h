@@ -64,9 +64,10 @@ class ShardedIndex {
   /// `embedding` may be empty if only Hamming serving is needed.
   Result<int> Insert(search::Code code, std::vector<float> embedding);
 
-  /// Group-commit bulk insert: ids are assigned sequentially from `size()`,
-  /// all WAL records are appended under one fsync, then all entries are
-  /// applied. Without a WAL this is a plain insert loop.
+  /// Bulk insert: ids are assigned as one contiguous block, in input order.
+  /// With a WAL all records are appended under one fsync (group commit).
+  /// The entries are then applied with one ingest::LiveIndex::InsertBatch
+  /// per shard, so a quantize-mode shard calibrates once per batch.
   Status InsertBatch(std::vector<search::Code> codes,
                      std::vector<std::vector<float>> embeddings);
 
@@ -236,6 +237,13 @@ class ShardedIndex {
   /// kDataLoss on structurally impossible records (negative id, wrong code
   /// width).
   Status ApplyReplayed(const ingest::WalRecord& record);
+
+  /// Applies entries whose ids are fresh and unique: one
+  /// LiveIndex::InsertBatch per shard, rows in input order within a shard.
+  /// Shared by InsertBatch and LoadSnapshot.
+  void ApplyFresh(const std::vector<int>& ids,
+                  std::vector<search::Code> codes,
+                  std::vector<std::vector<float>> embeddings);
 
   /// Appends `records` to the WAL and fsyncs once. Caller holds wal_mu_.
   Status CommitLocked(std::vector<ingest::WalRecord> records);

@@ -1,14 +1,17 @@
 // LiveIndex in quantize mode (DESIGN.md §17): embeddings live as int8 rows
 // under one shared param set, EmbeddingOf/SnapshotEntries surface the
 // dequantized lattice, RerankTopK is bit-identical to the float path over
-// that lattice, compaction rebuilds the scales from the captured base (and
-// requantizes the racing delta suffix), rows without embeddings are
-// carried but skipped, and non-finite embeddings are rejected before any
-// state mutates.
+// that lattice, single inserts widen the params per row while the store is
+// all-delta, a bulk InsertBatch calibrates once over the whole batch,
+// compaction rebuilds the scales from the captured base (and requantizes
+// the racing delta suffix), rows without embeddings are carried but
+// skipped, and non-finite embeddings are rejected before any state
+// mutates.
 #include "ingest/live_index.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
@@ -130,11 +133,13 @@ TEST(LiveIndexQuantTest, EmbeddingOfRoundTripsWithinHalfStep) {
 }
 
 TEST(LiveIndexQuantTest, BulkLoadExpandsParamsInsteadOfSaturating) {
-  // The regression the in-place widening exists for: a bulk load whose
-  // first row is narrow must not clamp the rest of the corpus onto the
-  // first row's ±½ window. Every loaded value has to round-trip within the
-  // final (widened) step budget, including the early rows that were
-  // requantized as the range grew.
+  // The regression the per-row widening exists for: a load through single
+  // Insert calls whose first row is narrow must not clamp the rest of the
+  // corpus onto the first row's ±½ window. Every loaded value has to
+  // round-trip within the final (widened) step budget, including the early
+  // rows that were requantized as the range grew. (InsertBatch does better:
+  // one calibration, ½ step — see BulkApplyCalibratesOnceAndIsOrder-
+  // Independent.)
   Rng rng(47);
   LiveIndex index(QuantOptions());
   std::map<int, std::vector<float>> originals;
@@ -161,6 +166,176 @@ TEST(LiveIndexQuantTest, BulkLoadExpandsParamsInsteadOfSaturating) {
       EXPECT_LE(std::abs(back[j] - original[j]), 4.0f * params.scale[j])
           << "id " << id << " dim " << j;
     }
+  }
+}
+
+/// Byte-level equality of two stored lattice rows (EmbeddingOf).
+void ExpectSameBytes(const std::vector<float>& got,
+                     const std::vector<float>& want, int id) {
+  ASSERT_EQ(got.size(), want.size()) << "id " << id;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0)
+      << "id " << id;
+}
+
+TEST(LiveIndexQuantTest, BulkApplyCalibratesOnceAndIsOrderIndependent) {
+  Rng rng(48);
+  // A batch whose first row is narrow, as in BulkLoadExpandsParams-
+  // InsteadOfSaturating, where per-row widening needs 4 steps of slack.
+  std::vector<int> ids;
+  std::vector<search::Code> codes;
+  std::vector<std::vector<float>> embeddings;
+  for (int id = 0; id < 120; ++id) {
+    ids.push_back(id);
+    codes.push_back(RandomCode(rng));
+    embeddings.push_back(id == 0 ? std::vector<float>(kDim, 0.01f)
+                                 : RandomEmbedding(rng));  // [-3, 3]
+  }
+
+  {
+    SCOPED_TRACE("cold start: one calibration, every row within half a step");
+    LiveIndex index(QuantOptions());
+    ASSERT_TRUE(index.InsertBatch(ids, codes, embeddings).ok());
+    EXPECT_EQ(index.mutation_epoch(), 1u);
+    const quant::QuantizationParams params = index.ParamsSnapshot();
+    // The params are exactly a one-shot calibration over the batch.
+    quant::ParamsBuilder builder(kDim);
+    for (const std::vector<float>& e : embeddings) {
+      ASSERT_TRUE(builder.Add(e.data()).ok());
+    }
+    const quant::QuantizationParams one_shot = builder.Build().value();
+    EXPECT_EQ(params.scale, one_shot.scale);
+    EXPECT_EQ(params.zero_point, one_shot.zero_point);
+    // Each row is quantized once from its float: ≤ s/2, plus float
+    // rounding of the dequantization far below a step.
+    for (int id = 0; id < 120; ++id) {
+      const std::vector<float> back = index.EmbeddingOf(id);
+      ASSERT_EQ(back.size(), static_cast<size_t>(kDim)) << id;
+      for (int j = 0; j < kDim; ++j) {
+        EXPECT_LE(std::abs(back[j] - embeddings[id][j]),
+                  0.5f * params.scale[j] + 1e-5f)
+            << "id " << id << " dim " << j;
+      }
+    }
+  }
+
+  {
+    SCOPED_TRACE("shuffled orders of one batch store the same bytes");
+    // Each index first takes a narrow delta through single inserts, so the
+    // batch also widens the params over an existing delta and requantizes
+    // it once.
+    const auto load = [&](const std::vector<int>& order, LiveIndex* index) {
+      Rng pre(49);
+      for (int id = 1000; id < 1004; ++id) {
+        ASSERT_TRUE(
+            index->Insert(id, RandomCode(pre), RandomEmbedding(pre, -0.5, 0.5))
+                .ok());
+      }
+      std::vector<int> batch_ids;
+      std::vector<search::Code> batch_codes;
+      std::vector<std::vector<float>> batch_embeddings;
+      for (const int i : order) {
+        batch_ids.push_back(ids[i]);
+        batch_codes.push_back(codes[i]);
+        batch_embeddings.push_back(embeddings[i]);
+      }
+      ASSERT_TRUE(index->InsertBatch(batch_ids, std::move(batch_codes),
+                                     std::move(batch_embeddings))
+                      .ok());
+    };
+    std::vector<int> order(ids.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+    LiveIndex reference(QuantOptions());
+    load(order, &reference);
+    for (int trial = 0; trial < 3; ++trial) {
+      for (size_t i = order.size() - 1; i > 0; --i) {
+        std::swap(order[i], order[rng.UniformInt(0, static_cast<int>(i))]);
+      }
+      LiveIndex shuffled(QuantOptions());
+      load(order, &shuffled);
+      const quant::QuantizationParams a = reference.ParamsSnapshot();
+      const quant::QuantizationParams b = shuffled.ParamsSnapshot();
+      EXPECT_EQ(a.scale, b.scale);
+      EXPECT_EQ(a.zero_point, b.zero_point);
+      for (int id = 0; id < 120; ++id) {
+        ExpectSameBytes(shuffled.EmbeddingOf(id), reference.EmbeddingOf(id),
+                        id);
+      }
+      for (int id = 1000; id < 1004; ++id) {
+        ExpectSameBytes(shuffled.EmbeddingOf(id), reference.EmbeddingOf(id),
+                        id);
+      }
+    }
+  }
+
+  {
+    SCOPED_TRACE("a compacted base pins the params: same bytes as row by row");
+    LiveIndex bulk(QuantOptions());
+    LiveIndex per_row(QuantOptions());
+    Rng pre(50);
+    for (int id = 1000; id < 1040; ++id) {
+      const search::Code code = RandomCode(pre);
+      const std::vector<float> e = RandomEmbedding(pre, -1.0, 1.0);
+      ASSERT_TRUE(bulk.Insert(id, code, e).ok());
+      ASSERT_TRUE(per_row.Insert(id, code, e).ok());
+    }
+    bulk.Compact();
+    per_row.Compact();
+    // The batch reaches [-3, 3], far outside the base's [-1, 1]: those
+    // values saturate on both paths.
+    ASSERT_TRUE(bulk.InsertBatch(ids, codes, embeddings).ok());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_TRUE(per_row.Insert(ids[i], codes[i], embeddings[i]).ok());
+    }
+    EXPECT_EQ(bulk.ParamsSnapshot().scale, per_row.ParamsSnapshot().scale);
+    EXPECT_EQ(bulk.ParamsSnapshot().zero_point,
+              per_row.ParamsSnapshot().zero_point);
+    for (int id = 0; id < 120; ++id) {
+      ExpectSameBytes(bulk.EmbeddingOf(id), per_row.EmbeddingOf(id), id);
+    }
+  }
+
+  {
+    SCOPED_TRACE("a rejected batch leaves the shard untouched");
+    LiveIndex index(QuantOptions());
+    Rng pre(51);
+    for (int id = 1000; id < 1008; ++id) {
+      ASSERT_TRUE(
+          index.Insert(id, RandomCode(pre), RandomEmbedding(pre, -0.5, 0.5))
+              .ok());
+    }
+    const uint64_t epoch = index.mutation_epoch();
+    const quant::QuantizationParams params = index.ParamsSnapshot();
+    std::vector<std::vector<float>> stored;
+    for (int id = 1000; id < 1008; ++id) stored.push_back(index.EmbeddingOf(id));
+    const auto expect_untouched = [&] {
+      EXPECT_EQ(index.mutation_epoch(), epoch);
+      EXPECT_EQ(index.live_size(), 8);
+      EXPECT_EQ(index.delta_size(), 8);
+      EXPECT_FALSE(index.Contains(0));
+      EXPECT_EQ(index.ParamsSnapshot().scale, params.scale);
+      EXPECT_EQ(index.ParamsSnapshot().zero_point, params.zero_point);
+      for (int id = 1000; id < 1008; ++id) {
+        ExpectSameBytes(index.EmbeddingOf(id), stored[id - 1000], id);
+      }
+    };
+    // One NaN row late in a batch whose earlier rows would widen the
+    // params.
+    std::vector<std::vector<float>> poisoned = embeddings;
+    poisoned[100][3] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(index.InsertBatch(ids, codes, poisoned).code(),
+              StatusCode::kInvalidArgument);
+    expect_untouched();
+    // A live id, and an id repeated within the batch.
+    std::vector<int> clashing = ids;
+    clashing[60] = 1003;
+    EXPECT_EQ(index.InsertBatch(clashing, codes, embeddings).code(),
+              StatusCode::kInvalidArgument);
+    expect_untouched();
+    clashing[60] = 7;
+    EXPECT_EQ(index.InsertBatch(clashing, codes, embeddings).code(),
+              StatusCode::kInvalidArgument);
+    expect_untouched();
   }
 }
 

@@ -1,11 +1,12 @@
 // Churn property test for the quantized embedding store (DESIGN.md §17):
-// under a random stream of inserts / removes / updates / compactions,
+// under a random stream of single and bulk (InsertBatch) inserts /
+// removes / updates / compactions,
 // QueryRerankTopK on a quantize-mode ShardedIndex must stay bit-identical
 // to an exact float top-k over the stored lattice (EmbeddingOf of every
 // live id), for shard counts {1, 4} and every strategy, serial and pooled.
 // Plus the TSan acceptance stress: concurrent re-rank queries against
-// concurrent mutations (including the in-place param widening and
-// compaction rescales) must be race-free.
+// concurrent mutations (including the in-place param widening, bulk
+// calibrations and compaction rescales) must be race-free.
 #include <algorithm>
 #include <map>
 #include <thread>
@@ -36,6 +37,19 @@ std::vector<float> RandomEmbedding(Rng& rng) {
   std::vector<float> e(kDim);
   for (float& x : e) x = static_cast<float>(rng.Uniform(-2.0, 2.0));
   return e;
+}
+
+/// A ShardedIndex::InsertBatch argument pair of 2–`max_rows` rows; one row
+/// in eight carries no embedding.
+void RandomBatch(Rng& rng, int max_rows, std::vector<search::Code>* codes,
+                 std::vector<std::vector<float>>* embeddings) {
+  const int n = rng.UniformInt(2, max_rows);
+  for (int i = 0; i < n; ++i) {
+    codes->push_back(RandomCode(rng));
+    std::vector<float> e;
+    if (rng.Uniform(0.0, 1.0) > 0.125) e = RandomEmbedding(rng);
+    embeddings->push_back(std::move(e));
+  }
 }
 
 /// What QueryRerankTopK must equal: exact float top-k over the STORED
@@ -89,7 +103,7 @@ TEST(QuantChurnTest, RerankMatchesLatticeOracleAcrossShardsAndStrategies) {
       std::vector<int> live;
       for (int step = 0; step < 160; ++step) {
         const double dice = rng.Uniform(0.0, 1.0);
-        if (dice < 0.55 || live.empty()) {
+        if (dice < 0.45 || live.empty()) {
           // One in eight entries carries no embedding: the Hamming stage
           // admits it, the re-rank stage must skip it.
           std::vector<float> e;
@@ -97,6 +111,17 @@ TEST(QuantChurnTest, RerankMatchesLatticeOracleAcrossShardsAndStrategies) {
           const auto id = index.Insert(RandomCode(rng), std::move(e));
           ASSERT_TRUE(id.ok());
           live.push_back(id.value());
+        } else if (dice < 0.55) {
+          // A bulk insert: ids continue from size(), one apply per shard.
+          std::vector<search::Code> codes;
+          std::vector<std::vector<float>> embeddings;
+          RandomBatch(rng, 9, &codes, &embeddings);
+          const int first = index.size();
+          const int n = static_cast<int>(codes.size());
+          ASSERT_TRUE(
+              index.InsertBatch(std::move(codes), std::move(embeddings)).ok());
+          ASSERT_EQ(index.size(), first + n);
+          for (int id = first; id < first + n; ++id) live.push_back(id);
         } else if (dice < 0.72) {
           const int victim = live[step % live.size()];
           ASSERT_TRUE(index.Remove(victim).ok());
@@ -131,8 +156,9 @@ TEST(QuantChurnTest, RerankMatchesLatticeOracleAcrossShardsAndStrategies) {
   }
 }
 
-/// TSan acceptance: re-rank readers against writers that insert (widening
-/// the params in place while the store is all-delta), update, remove and
+/// TSan acceptance: re-rank readers against writers that insert single
+/// rows (widening the params in place while the store is all-delta) and
+/// bulk batches (one calibration per shard), update, remove and
 /// synchronously compact. Results are only sanity-checked — the database
 /// mutates underneath the queries — but every access must be race-free.
 TEST(QuantChurnTest, ConcurrentRerankAndMutationsAreRaceFree) {
@@ -154,8 +180,14 @@ TEST(QuantChurnTest, ConcurrentRerankAndMutationsAreRaceFree) {
       Rng rng(7100 + t);
       for (int i = 0; i < kPerThread; ++i) {
         const double dice = rng.Uniform(0.0, 1.0);
-        if (dice < 0.6) {
+        if (dice < 0.45) {
           (void)index.Insert(RandomCode(rng), RandomEmbedding(rng));
+        } else if (dice < 0.6) {
+          std::vector<search::Code> codes;
+          std::vector<std::vector<float>> embeddings;
+          RandomBatch(rng, 12, &codes, &embeddings);
+          EXPECT_TRUE(
+              index.InsertBatch(std::move(codes), std::move(embeddings)).ok());
         } else if (dice < 0.8) {
           (void)index.Remove(static_cast<int>(rng.UniformInt(0, 40)));
         } else if (dice < 0.95) {
